@@ -12,6 +12,7 @@ from .errors import (
     DenominatorNotCoveredError,
     DomainError,
     EigenvectorError,
+    InternalError,
     NotAdmissibleError,
     NotInvertibleError,
     ParseError,

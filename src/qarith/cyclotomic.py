@@ -3,8 +3,8 @@
 A polynomial over Z is a tuple of int coefficients, constant term first, with
 no trailing zeros.  chi(m) is produced by the classical recursion: divide
 t^m - 1 exactly by the product of chi(d) over the proper divisors d of m.
-The exact divisions double as self-checks: a nonzero remainder means the
-table is corrupt and raises immediately.
+The exact divisions (``zpoly.divexact``) double as self-checks: a nonzero
+remainder means the table is corrupt and raises InternalError immediately.
 
 The factorization maps are symbolic (index sets and exponent maps); use
 ``evaluate_factors`` to multiply them out at a point of any ring.
@@ -14,38 +14,8 @@ from __future__ import annotations
 
 import functools
 
+from . import zpoly
 from .errors import DomainError
-
-
-def _mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _divexact(a, b):
-    # long division by b with unit leading coefficient; remainder must vanish
-    assert b and b[-1] in (1, -1)
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in reversed(range(len(q))):
-        c = r[k + len(b) - 1] * lead
-        q[k] = c
-        if c:
-            for j, d in enumerate(b):
-                r[k + j] -= c * d
-    assert not any(r), "cyclotomic table corruption: inexact division"
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(q)
 
 
 def divisors(n: int) -> list[int]:
@@ -76,11 +46,10 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
         raise DomainError("cyclotomic index must be >= 1")
     if m == 1:
         return (-1, 1)
-    poly = (-1,) + (0,) * (m - 1) + (1,)
-    for d in divisors(m):
-        if d < m:
-            poly = _divexact(poly, cyclotomic_poly(d))
-    return poly
+    proper = (1,)
+    for d in divisors(m)[:-1]:
+        proper = zpoly.mul(proper, cyclotomic_poly(d))
+    return zpoly.divexact((-1,) + (0,) * (m - 1) + (1,), proper)
 
 
 def eval_poly(coeffs, x):

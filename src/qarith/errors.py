@@ -5,6 +5,10 @@ class QArithError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(QArithError):
+    """An internal self-check failed: a bug in qarith, not in the caller's input."""
+
+
 class RingMismatchError(QArithError):
     """Operands belong to different rings."""
 

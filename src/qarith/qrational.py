@@ -21,6 +21,7 @@ from .errors import (
     CompatibilityError,
     DenominatorNotCoveredError,
     DomainError,
+    InternalError,
     NotAdmissibleError,
 )
 from .qnum import QContext, q_state
@@ -157,7 +158,8 @@ def q_state_rational(sys: RootSystem, r) -> RingElement:
         ctx_L = sys.root_context(L)
         mL = r * L
         alt = q_state(ctx_L, int(mL)) * q_state(ctx_L, L).inverse()
-        assert value == alt, "rational q-state depends on the representative (carrier bug)"
+        if value != alt:
+            raise InternalError("rational q-state depends on the representative (carrier bug)")
     return value
 
 

@@ -16,6 +16,18 @@ equality is ring equality and every operation returns a normalized result:
                       coefficient so remainder division is defined over B = Z/n or Q)
 * ``Q[t^(1/L)]``, ``Q(t^(1/L))`` -- polynomials/fractions in s = t^(1/L)
 
+Dense integer-polynomial arithmetic lives in one kernel, ``zpoly``:
+``Z[t]`` (a ``PolynomialRing`` whose base is exactly ``IntegerRing``) adds and
+multiplies with it, ``Cyclo(p)`` multiplies with ``zpoly.mul`` and reduces
+with ``zpoly.reduce_cyclotomic`` (fold modulo t^p - 1, then divide by
+chi_p), and ``Q(t)`` keeps its numerators and denominators as ``zpoly``
+tuples.  ``zpoly.mul`` shifts and scales when one factor is a monomial, runs
+a sparse schoolbook product when the sparser factor has fewer than
+``zpoly.KRONECKER_MIN_TERMS`` nonzero terms, and otherwise packs both
+factors into big ints (Kronecker substitution) with slots wide enough for
+the bound max|a| * max|b| * min(len a, len b) on every product coefficient.
+Polynomials over any other base ring use the generic loops below.
+
 Elements are immutable; all operations are pure and safe to share across
 threads.  Arithmetic on elements of different rings raises RingMismatchError.
 """
@@ -25,6 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import zpoly
 from .cyclotomic import cyclotomic_poly
 from .errors import (
     DomainError,
@@ -32,158 +45,6 @@ from .errors import (
     RingMismatchError,
     UnsupportedError,
 )
-
-# ---------------------------------------------------------------------------
-# dense integer/Fraction polynomial helpers (tuples, constant term first)
-# ---------------------------------------------------------------------------
-
-
-def _zstrip(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _zadd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _zstrip(out)
-
-
-def _zneg(a):
-    return tuple(-c for c in a)
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    if len(a) > len(b):
-        a, b = b, a
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _zstrip(out)
-
-
-def _zscale(a, c):
-    if c == 0:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _zval(a):
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return len(a)
-
-
-def _zmono(a):
-    """(degree, coefficient) when a has a single nonzero term, else None."""
-    hit = None
-    for i, c in enumerate(a):
-        if c:
-            if hit is not None:
-                return None
-            hit = (i, c)
-    return hit
-
-
-def _zcontent(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
-
-
-def _zprim(a):
-    """Split a = c * p with p primitive, positive leading coefficient."""
-    a = _zstrip(a)
-    if not a:
-        return 0, ()
-    c = _zcontent(a)
-    if a[-1] < 0:
-        c = -c
-    return c, tuple(x // c for x in a)
-
-
-def _qdivmod(a, b):
-    """divmod for Fraction coefficient lists; b nonzero."""
-    r = [Fraction(c) for c in a]
-    while r and r[-1] == 0:
-        r.pop()
-    db = len(b) - 1
-    inv = Fraction(1) / b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] * inv
-        k = len(r) - 1 - db
-        q[k] = c
-        for j, d in enumerate(b):
-            r[k + j] -= c * d
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
-
-
-def _zdivexact(a, b):
-    """Exact quotient a / b in Z[t]; asserts divisibility (internal use)."""
-    a, b = _zstrip(a), _zstrip(b)
-    if not a:
-        return ()
-    mono = _zmono(b)
-    if mono is not None:
-        d, c = mono
-        assert all(x == 0 for x in a[:d]), "inexact monomial division"
-        out = []
-        for x in a[d:]:
-            q, r = divmod(x, c)
-            assert r == 0, "inexact monomial division"
-            out.append(q)
-        return _zstrip(out)
-    fb = [Fraction(c) for c in b]
-    q, r = _qdivmod(a, fb)
-    assert not r, "inexact polynomial division"
-    out = []
-    for c in q:
-        assert c.denominator == 1, "non-integral exact quotient"
-        out.append(int(c))
-    return _zstrip(out)
-
-
-def _zgcd(a, b):
-    """Primitive gcd in Z[t] with positive leading coefficient."""
-    a, b = _zstrip(a), _zstrip(b)
-    if not a:
-        return _zprim(b)[1]
-    if not b:
-        return _zprim(a)[1]
-    ma, mb = _zmono(a), _zmono(b)
-    if ma is not None:
-        d = min(ma[0], mb[0] if mb is not None else _zval(b))
-        return (0,) * d + (1,)
-    if mb is not None:
-        d = min(mb[0], _zval(a))
-        return (0,) * d + (1,)
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        _, fr = _qdivmod(fa, fb)
-        fa, fb = fb, fr
-    lcm_den = 1
-    for c in fa:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in fa]
-    return _zprim(ints)[1]
-
 
 def _totient(m):
     return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)
@@ -721,6 +582,8 @@ class PolynomialRing(Ring):
         self.is_domain = base.is_domain
         self.torsion_free = base.torsion_free
         self.characteristic = base.characteristic
+        # int coefficients: add and multiply with the integer kernel
+        self._over_z = type(base) is IntegerRing
 
     def normalize(self, payload):
         cs = [self.base.normalize(c) for c in payload]
@@ -736,6 +599,8 @@ class PolynomialRing(Ring):
         return tuple(cs)
 
     def _add(self, a, b):
+        if self._over_z:
+            return zpoly.add(a, b)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -749,6 +614,8 @@ class PolynomialRing(Ring):
         return tuple(neg(c) for c in a)
 
     def _mul(self, a, b):
+        if self._over_z:
+            return zpoly.mul(a, b)
         if not a or not b:
             return ()
         base = self.base
@@ -1009,23 +876,23 @@ class RationalFunctionField(Ring):
         self.denominator = denominator
 
     def _norm(self, num, den):
-        num, den = _zstrip(num), _zstrip(den)
+        num, den = zpoly.strip(num), zpoly.strip(den)
         if not den:
             raise DomainError("zero denominator")
         if not num:
             return ((), (1,))
-        an, P = _zprim(num)
-        ad, Q = _zprim(den)
-        G = _zgcd(P, Q)
+        an, P = zpoly.prim(num)
+        ad, Q = zpoly.prim(den)
+        G = zpoly.gcd(P, Q)
         if len(G) > 1:
-            P = _zdivexact(P, G)
-            Q = _zdivexact(Q, G)
+            P = zpoly.divexact(P, G)
+            Q = zpoly.divexact(Q, G)
         g = math.gcd(an, ad)
         an //= g
         ad //= g
         if ad < 0:
             an, ad = -an, -ad
-        return (_zscale(P, an), _zscale(Q, ad))
+        return (zpoly.scale(P, an), zpoly.scale(Q, ad))
 
     def normalize(self, payload):
         if isinstance(payload, tuple) and len(payload) == 2 and (
@@ -1040,18 +907,18 @@ class RationalFunctionField(Ring):
         n1, d1 = x
         n2, d2 = y
         if d1 == d2:
-            return self._norm(_zadd(n1, n2), d1)
-        return self._norm(_zadd(_zmul(n1, d2), _zmul(n2, d1)), _zmul(d1, d2))
+            return self._norm(zpoly.add(n1, n2), d1)
+        return self._norm(zpoly.add(zpoly.mul(n1, d2), zpoly.mul(n2, d1)), zpoly.mul(d1, d2))
 
     def _neg(self, x):
-        return (_zneg(x[0]), x[1])
+        return (zpoly.neg(x[0]), x[1])
 
     def _mul(self, x, y):
         n1, d1 = x
         n2, d2 = y
         if not n1 or not n2:
             return ((), (1,))
-        return self._norm(_zmul(n1, n2), _zmul(d1, d2))
+        return self._norm(zpoly.mul(n1, n2), zpoly.mul(d1, d2))
 
     def _invert(self, x):
         num, den = x
@@ -1081,12 +948,12 @@ class RationalFunctionField(Ring):
         if den == (1,):
             return self._poly_text(num)
         if num and num[-1] < 0:
-            return "-" + self._text((_zneg(num), den))
+            return "-" + self._text((zpoly.neg(num), den))
         ns = self._poly_text(num)
         if " + " in ns or " - " in ns:
             ns = f"({ns})"
         ds = self._poly_text(den)
-        bare = _zmono(den) is not None and (len(den) == 1 or den[-1] == 1)
+        bare = zpoly.mono(den) is not None and (len(den) == 1 or den[-1] == 1)
         if not bare or " " in ds or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
@@ -1109,7 +976,7 @@ class RationalFunctionField(Ring):
 
     def _frac_pow(self, x, r):
         num, den = x
-        mn, md = _zmono(num), _zmono(den)
+        mn, md = zpoly.mono(num), zpoly.mono(den)
         if mn is None or md is None or mn[1] != 1 or md[1] != 1:
             raise DomainError("fractional powers only of monomials t^k")
         e = (mn[0] - md[0]) * r
@@ -1123,7 +990,7 @@ class RationalFunctionField(Ring):
     def random_element(self, rng):
         num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))
         den = ()
-        while not _zstrip(den):
+        while not zpoly.strip(den):
             den = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 3)))
         return self.element((num, den))
 
@@ -1144,28 +1011,19 @@ class CyclotomicRing(Ring):
         self.modulus = cyclotomic_poly(p)
 
     def _reduce(self, cs):
-        r = list(cs)
-        m = self.modulus
-        while len(r) >= len(m):
-            c = r[-1]
-            if c:
-                k = len(r) - len(m)
-                for j, d in enumerate(m):
-                    r[k + j] -= c * d
-            r.pop()
-        return _zstrip(r)
+        return zpoly.reduce_cyclotomic(cs, self.p, self.modulus)
 
     def normalize(self, payload):
         return self._reduce([int(c) for c in payload])
 
     def _add(self, a, b):
-        return _zadd(a, b)
+        return zpoly.add(a, b)
 
     def _neg(self, a):
-        return _zneg(a)
+        return zpoly.neg(a)
 
     def _mul(self, a, b):
-        return self._reduce(_zmul(a, b))
+        return self._reduce(zpoly.mul(a, b))
 
     def _invert(self, a):
         if not a:
@@ -1176,7 +1034,7 @@ class CyclotomicRing(Ring):
         r1 = [Fraction(c) for c in a]
         s0, s1 = [], [Fraction(1)]
         while r1:
-            q, r = _qdivmod(r0, r1)
+            q, r = zpoly.qdivmod(r0, r1)
             qs = _qpolymul(q, s1)
             s0, s1 = s1, _qpolysub(s0, qs)
             r0, r1 = r1, r

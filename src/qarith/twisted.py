@@ -21,6 +21,7 @@ from .errors import (
     BasisUnavailableError,
     DomainError,
     EigenvectorError,
+    InternalError,
     RingMismatchError,
     UnsupportedError,
 )
@@ -319,7 +320,8 @@ def affine_orbit(alg: TwistedAlgebra, n: int) -> RingElement:
     x = alg.gen(alg.gens[0])
     closed = alg.scalar(ctx.q_power(n)) * x + alg.scalar(q_state(ctx, n) * h)
     if n >= 0:
-        assert closed == alg.sigma_iter(x, n), "affine orbit closed form disagrees with iteration"
+        if closed != alg.sigma_iter(x, n):
+            raise InternalError("affine orbit closed form disagrees with iteration")
     return closed
 
 
@@ -411,7 +413,8 @@ def artin_schreier_check(base, h) -> RingElement:
     x = alg.gen("x")
     value = twisted_power(alg, x, p)
     expected = x**p - alg.scalar(h ** (p - 1)) * x
-    assert value == expected, "Artin-Schreier closed form failed"
+    if value != expected:
+        raise InternalError("Artin-Schreier closed form failed")
     return value
 
 
@@ -455,7 +458,8 @@ def expand_in_twisted_basis(basis: TwistedPowerBasis, f: RingElement) -> dict:
         c = alg.coefficient(f, d) * basis.leading_inverse(d)
         coeffs[d] = c
         f = f - alg.scalar(c) * basis.element(d)
-        assert alg.degree(f) < d, "leading-term elimination failed to reduce degree"
+        if alg.degree(f) >= d:
+            raise InternalError("leading-term elimination failed to reduce degree")
     return coeffs
 
 

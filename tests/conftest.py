@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qarith import (
@@ -45,6 +50,16 @@ def fleet_contexts(modulus_max=12, cyclo_max=12):
         ring = CyclotomicRing(p)
         out.append(QContext(ring, ring.generator))
     return out
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports qarith from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 @pytest.fixture(scope="session")

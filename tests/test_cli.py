@@ -7,7 +7,7 @@ import pytest
 
 from qarith import ParseError, parse_element, parse_ring
 from qarith.cli import CaseFailure, VerificationReport, main, run_identity
-from conftest import RING_SPECS
+from conftest import RING_SPECS, run_python
 
 
 # --- parsing -------------------------------------------------------------------
@@ -287,3 +287,10 @@ def test_table_json_stable(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["table", "unknown_kind"]) == 3
     assert main(["qbinom", "--ring", "Z[t]"]) == 3  # missing positionals
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_python("-m", "qarith", "qint", "--ring", "Z[t]", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == "1 + t + t^2"

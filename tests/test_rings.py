@@ -21,7 +21,7 @@ from qarith import (
     parse_ring,
     try_invert,
 )
-from conftest import RING_SPECS
+from conftest import RING_SPECS, run_python
 
 
 def test_modular_add():
@@ -225,3 +225,17 @@ def test_ring_equality_is_structural():
     assert PolynomialRing(ZZ, "t") == PolynomialRing(ZZ, "t")
     assert PolynomialRing(ZZ, "t") != PolynomialRing(ZZ, "x")
     assert ModularRing(4) != ModularRing(5)
+
+
+def test_internal_checks_survive_optimize_flag():
+    # under python -O an assert would vanish and return a wrong quotient
+    code = (
+        "from qarith import InternalError, zpoly\n"
+        "try:\n"
+        "    zpoly.divexact((1, 0, 1), (1, 1))\n"
+        "except InternalError:\n"
+        "    print('raised')\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
