@@ -6,6 +6,8 @@ q-states of rational numbers via compatible root systems; and twisted powers
 under ring endomorphisms.  See the ``qarith`` CLI for the command-line surface.
 """
 
+import importlib as _importlib
+
 from .errors import (
     BasisUnavailableError,
     CompatibilityError,
@@ -89,6 +91,18 @@ from .twisted import (
     twisted_power_compose,
     twisted_power_sign_check,
 )
-from .cli import parse_element, parse_ring, run_identity
 
 __version__ = "0.1.0"
+
+# The command-line module imports argparse and the identity catalog; it is
+# loaded on first use (PEP 562), so ``import qarith`` stays light and
+# ``python -m qarith.cli`` does not find it imported already.
+_CLI_NAMES = ("parse_element", "parse_ring", "run_identity")
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_CLI_NAMES)
+
+
+def __getattr__(name):
+    if name == "cli" or name in _CLI_NAMES:
+        cli = _importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

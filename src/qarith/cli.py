@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import cyclotomic as cyc
 from .errors import DomainError, NotInvertibleError, ParseError, QArithError, UnsupportedError
+from .ntheory import is_prime
 from .qnum import (
     QContext,
     certify_flatness,
@@ -734,7 +735,7 @@ def _iv_frobenius(env, rec):
 def _iv_artin_schreier(env, rec):
     ring = env.ring
     p = ring.characteristic
-    if p <= 1 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise HypothesesUnmet("ring must have prime characteristic")
     if env.h_text is not None:
         hs = [parse_element(ring, env.h_text)]
@@ -971,6 +972,7 @@ def _eval_command(args):
         payload["args"] = {"bound": args.bound}
         res = q_characteristic(ctx, bound=args.bound)
         payload["result"] = {"p": res.p, "certified": res.certified, "bound": res.bound}
+        payload["certificate"] = {"rule": res.rule}
         _emit(args, payload, str(res))
     elif op == "qflat":
         cert = certify_flatness(ctx)

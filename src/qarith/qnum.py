@@ -11,12 +11,20 @@ test suite as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
+from . import ntheory
 from .cyclotomic import eval_cyclotomic
-from .errors import DomainError, NotInvertibleError, RingMismatchError, UnsupportedError
-from .rings import CyclotomicRing, Ring, RingElement
+from .errors import (
+    DomainError,
+    InternalError,
+    NotInvertibleError,
+    RingMismatchError,
+    UnsupportedError,
+)
+from .rings import CyclotomicRing, ModularRing, Ring, RingElement
 
 _UNSET = object()
 
@@ -122,20 +130,25 @@ class QCharResult:
 
     p > 0: (p)_q = 0 and (m)_q != 0 for 0 < m < p.
     p = 0, certified: no positive m has (m)_q = 0.
-    p = 0, not certified: undecided within ``bound`` iterations.
+    p = 0, not certified: undecided within ``bound``.
+
+    ``rule`` names the certificate that decided a certified result (see
+    ``q_characteristic``); it is None for an unknown one and takes no part
+    in comparisons.
     """
 
     p: int
     certified: bool = True
     bound: Optional[int] = None
+    rule: Optional[str] = field(default=None, compare=False)
 
     @classmethod
-    def finite(cls, p):
-        return cls(p=p, certified=True)
+    def finite(cls, p, rule=None):
+        return cls(p=p, certified=True, rule=rule)
 
     @classmethod
-    def zero(cls):
-        return cls(p=0, certified=True)
+    def zero(cls, rule=None):
+        return cls(p=0, certified=True, rule=rule)
 
     @classmethod
     def unknown(cls, bound):
@@ -161,44 +174,99 @@ class QCharResult:
         return f"unknown (bound={self.bound})"
 
 
+def _matrix_power(ring, qp, k):
+    """((k)_q, q^k) as payloads: M^k for M = [[1, 1], [0, q]], by square and
+    multiply, since M^k = [[1, (k)_q], [0, q^k]]."""
+    s, pw = ring._zero(), ring._one()
+    bs, bpw = ring._one(), qp  # M^(2^i)
+    while k:
+        if k & 1:
+            s, pw = ring._add(s, ring._mul(pw, bs)), ring._mul(pw, bpw)
+        k >>= 1
+        if k:
+            bs, bpw = ring._add(bs, ring._mul(bpw, bs)), ring._mul(bpw, bpw)
+    return s, pw
+
+
+def _first_zero(ring, qp, bound):
+    """Least m <= bound with (m)_q = 0, stepping ((m)_q, q^m); None if none."""
+    zero_p = ring._zero()
+    s, pw = zero_p, ring._one()
+    for m in range(1, bound + 1):
+        s, pw = ring._add(s, pw), ring._mul(pw, qp)
+        if s == zero_p:
+            return m
+    return None
+
+
+def _matrix_order(ring, qp, bound):
+    """ord(M) for a unit q of a finite ring, or None when it exceeds bound.
+
+    (m)_q = 0 forces q^m = 1, since (1 - q)(m)_q = 1 - q^m, so the zeros of
+    (m)_q are the m with M^m = 1 and the first one is ord(M).  Over Z/n,
+    ord(M) = d * (additive order of (d)_q) with d the order of q, read off
+    the factored lambda(n) (UnsupportedError when n resists factoring);
+    elsewhere the orbit of ((m)_q, q^m), purely periodic for a unit q, is
+    walked to its first zero.
+    """
+    if not isinstance(ring, ModularRing):
+        return _first_zero(ring, qp, bound)
+    d = ring.unit_order(qp)
+    s, _ = _matrix_power(ring, qp, d)
+    p = d * (ring.n // math.gcd(s, ring.n))
+    if _matrix_power(ring, qp, p) != (ring._zero(), ring._one()):
+        raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")
+    return p if p <= bound else None
+
+
 def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     """Smallest p > 0 with (p)_q = 0, or a certificate that none exists.
 
-    Iterates the pair (s_m, q^m) = ((m)_q, q^m), which determines all later
-    pairs.  Termination certificates, sound in any ring:
+    The certificate rules, each sound in any ring, and named in ``rule``:
 
-    * finite rings: the pair orbit is eventually periodic; a repeat with no
-      zero seen proves there is no zero at all;
-    * q^d = 1 observed with (d)_q != 0: zeros can only occur at multiples of
-      d, where (kd)_q = k * (d)_q, so a Z-torsion-free ring has none;
-    * q^m != 1 for every m up to the ring's root-of-unity order bound: q is
-      not a root of unity, and (m)_q = 0 would force q^m = 1 since
-      (1 - q)(m)_q = 1 - q^m.
+    * ``non-unit q`` (finite rings): (m)_q = 0 forces q^m = 1, so q would be
+      a unit;
+    * ``matrix-order`` (Z/n): p = ord([[1, 1], [0, q]]), computed from the
+      factored Carmichael function, see ``_matrix_order``;
+    * ``period-walk``: the first zero found by stepping (s_m, q^m) =
+      ((m)_q, q^m); on a finite ring a unit q makes this orbit purely
+      periodic, so the walk ends at ord(M) without remembering it;
+    * ``q^d=1 & torsion-free``: q^d = 1 observed with (d)_q != 0: zeros can
+      only occur at multiples of d, where (kd)_q = k * (d)_q, so a
+      Z-torsion-free ring has none;
+    * ``root-of-unity bound``: q^m != 1 for every m up to the ring's
+      root-of-unity order bound, so q is not a root of unity and no (m)_q
+      vanishes.
+
+    A p found by structure but larger than ``bound`` is reported as unknown,
+    as the walk would.
     """
     ring = ctx.ring
+    qp = ctx.q.payload
+    if ring.finite:
+        rule = "matrix-order" if isinstance(ring, ModularRing) else "period-walk"
+        try:
+            if ring._invert(qp) is None:
+                return QCharResult.zero("non-unit q")
+            p = _matrix_order(ring, qp, bound)
+        except UnsupportedError:  # n resists factoring: walking is still sound
+            p, rule = _first_zero(ring, qp, bound), "period-walk"
+        return QCharResult.unknown(bound) if p is None else QCharResult.finite(p, rule)
     zero_p = ring._zero()
     one_p = ring._one()
-    qp = ctx.q.payload
-    seen = set() if ring.finite else None
-    order_bound = None if ring.finite else ring.root_of_unity_order_bound()
+    order_bound = ring.root_of_unity_order_bound()
     s, pw = zero_p, one_p
     for m in range(1, bound + 1):
         s = ring._add(s, pw)
         pw = ring._mul(pw, qp)
         if s == zero_p:
-            return QCharResult.finite(m)
-        if seen is not None:
-            key = (s, pw)
-            if key in seen:
-                return QCharResult.zero()
-            seen.add(key)
-        else:
-            if pw == one_p:
-                if ring.torsion_free:
-                    return QCharResult.zero()
-                return QCharResult.unknown(bound)
-            if order_bound is not None and m >= order_bound:
-                return QCharResult.zero()
+            return QCharResult.finite(m, "period-walk")
+        if pw == one_p:
+            if ring.torsion_free:
+                return QCharResult.zero("q^d=1 & torsion-free")
+            return QCharResult.unknown(bound)
+        if order_bound is not None and m >= order_bound:
+            return QCharResult.zero("root-of-unity bound")
     return QCharResult.unknown(bound)
 
 
@@ -225,45 +293,57 @@ class FlatnessCertificate:
         return out
 
 
+def _nonunit_state_candidates(ring, qp):
+    """Yield (m, (m)_q) for m >= 1, in increasing m, through every m that
+    can be the least one with (m)_q nonzero and not a unit.
+
+    A finite ring is a product of local rings, and v is a non-unit exactly
+    when some residue field k sees v = 0.  Unit q: the zeros of (m)_q are
+    the multiples of P = ord(M); k sees (m)_q = 0 exactly at the multiples
+    of ord(M) over k, a divisor of P, so the least nonunit nonzero state
+    sits at a proper divisor of P, and only those are tried.  Non-unit q:
+    (m)_q is never 0.  If q is nilpotent the states are constant from the
+    first m with q^m = 0 on; otherwise some k sees q as a unit and so sees
+    (m)_q = 0 for some m <= |k|.  Either way the walk ends within |R| steps.
+    """
+    if ring._invert(qp) is not None:
+        p = _matrix_order(ring, qp, ring.cardinality**2)
+        for m in ntheory.divisors(ntheory.factorize(p))[:-1]:
+            yield m, _matrix_power(ring, qp, m)[0]
+        return
+    zero_p = ring._zero()
+    s, pw = ring._one(), qp
+    for m in range(1, ring.cardinality + 1):
+        yield m, s
+        if pw == zero_p:  # q^m = 0: every later state equals this one
+            return
+        s, pw = ring._add(s, pw), ring._mul(pw, qp)
+    raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
+
+
 def certify_flatness(ctx: QContext, divisibility_scan: int = 64) -> FlatnessCertificate:
     """Decide q-flatness and q-divisibility with explicit witnesses.
 
-    Finite rings: only the finitely many distinct q-state values need checking
-    (they repeat with the (s, q^m) orbit); torsion and unit status of each are
-    decided by enumeration.  Integral domains are flat; fields are divisible.
-    When the quantum characteristic is p > 0 the value set is exactly
-    {(r)_q : 0 <= r < p}, so divisibility is decided completely there too.
+    Finite rings: every nonzero non-unit is a zero divisor, so the ring is
+    q-flat exactly when it is q-divisible, and both fail at the least m
+    with (m)_q nonzero and not a unit, whose annihilator (``_annihilator``)
+    is the torsion witness.  Integral domains are flat; fields are
+    divisible.  When the quantum characteristic is p > 0 the value set is
+    exactly {(r)_q : 0 <= r < p}, so divisibility is decided completely
+    there too.
     """
     ring = ctx.ring
     if ring.finite:
         zero_p = ring._zero()
-        qp = ctx.q.payload
-        first_seen = {}
-        orbit = set()
-        s, pw, m = zero_p, ring._one(), 0
-        while (s, pw) not in orbit:
-            orbit.add((s, pw))
-            if s not in first_seen:
-                first_seen[s] = m
-            s, pw, m = ring._add(s, pw), ring._mul(pw, qp), m + 1
-        flat, divisible = True, True
-        witness, nonunit = None, None
-        payloads = list(ring.payloads())
-        for v, fm in sorted(first_seen.items(), key=lambda kv: kv[1]):
+        for m, v in _nonunit_state_candidates(ring, ctx.q.payload):
             if v == zero_p:
                 continue
-            if ring._invert(v) is not None:
-                continue  # units have no torsion
-            divisible = False
-            if nonunit is None:
-                nonunit = fm
-            for a in payloads:
-                if a != zero_p and ring._mul(v, a) == zero_p:
-                    flat = False
-                    if witness is None:
-                        witness = (fm, RingElement(ring, a))
-                    break
-        return FlatnessCertificate(flat, divisible, witness, nonunit)
+            a = ring._annihilator(v)
+            if a is not None:
+                if a == zero_p or ring._mul(v, a) != zero_p:
+                    raise InternalError(f"{a} is not an annihilator of {v} in {ring}")
+                return FlatnessCertificate(False, False, (m, RingElement(ring, a)), m)
+        return FlatnessCertificate(True, True)
 
     if ring.is_field:
         return FlatnessCertificate(flat=True, divisible=True)

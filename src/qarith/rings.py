@@ -37,18 +37,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import zpoly
+from . import ntheory, zpoly
 from .cyclotomic import cyclotomic_poly
 from .errors import (
     DomainError,
+    InternalError,
     NotInvertibleError,
     RingMismatchError,
     UnsupportedError,
 )
-
-def _totient(m):
-    return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)
-
 
 def _qalg_torsion_bound(n):
     """Largest possible order of a root of unity in a Q-algebra of dimension n.
@@ -58,10 +55,10 @@ def _qalg_torsion_bound(n):
     """
     if n > 16:
         return None
-    cands = [m for m in range(1, 2 * n * n + 3) if _totient(m) <= n]
+    cands = [m for m in range(1, 2 * n * n + 3) if ntheory.totient(m) <= n]
     best = {1: 0}
     for c in cands:
-        phi = _totient(c)
+        phi = ntheory.totient(c)
         for l, cost in sorted(best.items()):
             nl = l * c // math.gcd(l, c)
             nc = cost + phi
@@ -227,6 +224,10 @@ class Ring:
 
     def _invert(self, a):
         raise NotImplementedError
+
+    def _annihilator(self, a):
+        """A nonzero b with a*b = 0, or None when a is a unit; finite rings only."""
+        raise UnsupportedError(f"annihilators over {self} are not supported")
 
     def _zero(self):
         raise NotImplementedError
@@ -399,7 +400,12 @@ class RationalField(Ring):
 
 
 class ModularRing(Ring):
-    """Z/nZ with residues in [0, n)."""
+    """Z/nZ with residues in [0, n).
+
+    The factors of n and of Carmichael's lambda(n) are computed on first
+    use and kept; a modulus that resists ``ntheory.factorize`` raises
+    UnsupportedError from every method that needs them.
+    """
 
     finite = True
 
@@ -409,6 +415,8 @@ class ModularRing(Ring):
         self.n = n
         self.cardinality = n
         self.characteristic = n
+        self._factors = None
+        self._lambda = None
 
     def normalize(self, payload):
         return int(payload) % self.n
@@ -428,6 +436,24 @@ class ModularRing(Ring):
         if g != 1:
             return None
         return x % self.n
+
+    def _annihilator(self, a):
+        g = math.gcd(a, self.n)
+        return None if g == 1 else self.n // g
+
+    def factors(self):
+        """{p: e} with n = prod p^e."""
+        return _memo(self, "_factors", lambda: ntheory.factorize(self.n))
+
+    def unit_order(self, a):
+        """Multiplicative order of the unit a, from the factored lambda(n)."""
+
+        def carmichael():
+            lam = ntheory.carmichael(self.factors())
+            return lam, tuple(ntheory.factorize(lam))
+
+        lam, primes = _memo(self, "_lambda", carmichael)
+        return ntheory.multiplicative_order(a, self.n, lam, primes)
 
     def _zero(self):
         return 0
@@ -452,6 +478,21 @@ class ModularRing(Ring):
 
     def random_element(self, rng):
         return RingElement(self, rng.randrange(self.n))
+
+
+def _memo(ring, attr, compute):
+    """compute() once per ring, kept in ``ring.<attr>``; an UnsupportedError
+    is kept too and raised again on every later call."""
+    value = getattr(ring, attr)
+    if value is None:
+        try:
+            value = compute()
+        except UnsupportedError as exc:
+            value = exc
+        setattr(ring, attr, value)
+    if isinstance(value, UnsupportedError):
+        raise UnsupportedError(str(value))
+    return value
 
 
 def _xgcd(a, b):
@@ -1083,6 +1124,78 @@ class CyclotomicRing(Ring):
         return 2 * self.p
 
 
+def _mod_p(cs, p):
+    out = [c % p for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _field_euclid(base, a, m):
+    """(g, s) with g = gcd(a, m) up to a unit and s*a = g modulo m, over the field base."""
+    r0, s0 = list(m), []
+    r1, s1 = list(a), [base._one()]
+    while r1:
+        q, r = _field_divmod(base, r0, r1)
+        s0, s1 = s1, _field_sub(base, s0, _field_mul(base, q, s1))
+        r0, r1 = r1, r
+    return r0, s0
+
+
+def _field_scale(base, cs, c):
+    """cs / c, for a unit c of base."""
+    inv = base._invert(c)
+    return tuple(base._mul(d, inv) for d in cs)
+
+
+def _field_divmod(base, a, b):
+    z = base._zero()
+    inv = base._invert(b[-1])
+    r = list(a)
+    q = [z] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        if r[-1] == z:
+            r.pop()
+            continue
+        c = base._mul(r[-1], inv)
+        q[len(r) - len(b)] = c
+        k = len(r) - len(b)
+        for j, d in enumerate(b):
+            r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
+        r.pop()
+    while r and r[-1] == z:
+        r.pop()
+    while q and q[-1] == z:
+        q.pop()
+    return q, r
+
+
+def _field_mul(base, a, b):
+    if not a or not b:
+        return []
+    z = base._zero()
+    out = [z] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c != z:
+            for j, d in enumerate(b):
+                out[i + j] = base._add(out[i + j], base._mul(c, d))
+    while out and out[-1] == z:
+        out.pop()
+    return out
+
+
+def _field_sub(base, a, b):
+    z = base._zero()
+    out = [z] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = base._add(out[i], base._neg(c))
+    while out and out[-1] == z:
+        out.pop()
+    return out
+
+
 def _qpolymul(a, b):
     if not a or not b:
         return []
@@ -1108,7 +1221,15 @@ def _qpolysub(a, b):
 
 
 class QuotientRing(Ring):
-    """B[x]/(mu) for B = Z/n or Q; mu nonconstant with unit leading coefficient."""
+    """B[x]/(mu) for B = Z/n or Q; mu nonconstant with unit leading coefficient.
+
+    Units and annihilators are decided by extended Euclid over a field: over
+    Q directly, over Z/n modulo each prime p | n, where v is a unit exactly
+    when gcd(v mod p, mu mod p) = 1 for every p.  Inverses modulo the primes
+    are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
+    with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Nothing
+    enumerates the ring, but n must factor (``ModularRing.factors``).
+    """
 
     def __init__(self, polyring, modulus):
         if not isinstance(polyring, PolynomialRing):
@@ -1130,6 +1251,7 @@ class QuotientRing(Ring):
             self.cardinality = self.base.cardinality ** (len(modulus) - 1)
         self.torsion_free = self.base.torsion_free
         self.characteristic = self.base.characteristic
+        self._fields = None
 
     def normalize(self, payload):
         cs = self.polyring.normalize(payload)
@@ -1153,73 +1275,51 @@ class QuotientRing(Ring):
         if not a:
             return None
         if self.base.is_field:
-            base = self.base
-            r0, s0 = list(self.modulus), []
-            r1, s1 = list(a), [base._one()]
-            while r1:
-                q, r = self._field_divmod(r0, r1)
-                qs = self._field_mul(q, s1)
-                s0, s1 = s1, self._field_sub(s0, qs)
-                r0, r1 = r1, r
-            if len(r0) != 1:
+            g, s = _field_euclid(self.base, a, self.modulus)
+            return None if len(g) > 1 else self.normalize(_field_scale(self.base, s, g[0]))
+        # Z/n: a unit modulo every prime p | n, then CRT to rad(n) and Newton
+        # steps x <- x(2 - ax), each squaring the error 1 - ax, up to n
+        parts = []
+        for p, fp, mu_p, crt in self._residue_fields():
+            g, s = _field_euclid(fp, _mod_p(a, p), mu_p)
+            if len(g) > 1:
                 return None
-            ginv = base._invert(r0[0])
-            if ginv is None:
-                return None
-            return self.normalize(tuple(base._mul(c, ginv) for c in s0))
-        one = self._one()
-        for b in self.payloads():
-            if self._mul(a, b) == one:
-                return b
+            parts.append((_field_scale(fp, s, g[0]), crt))
+        x = self.normalize(
+            tuple(sum(s[i] * crt for s, crt in parts if i < len(s)) for i in range(len(self.modulus) - 1))
+        )
+        one, two = self._one(), self._from_int(2)
+        for _ in range(self.base.n.bit_length()):
+            ax = self._mul(a, x)
+            if ax == one:
+                return x
+            x = self._mul(x, self._add(two, self._neg(ax)))
+        raise InternalError(f"Newton lifting of an inverse in {self} did not converge")
+
+    def _annihilator(self, a):
+        # a is a zero divisor iff g = gcd(a, mu) != 1 modulo some prime p | n;
+        # then (mu/g) kills a modulo p, and n/p times it kills a modulo n
+        for p, fp, mu_p, _ in self._residue_fields():
+            g, _ = _field_euclid(fp, _mod_p(a, p), mu_p)
+            if len(g) > 1:
+                h, _ = _field_divmod(fp, mu_p, g)
+                return self.normalize(tuple(self.base.n // p * c for c in h))
         return None
 
-    def _field_divmod(self, a, b):
-        base = self.base
-        z = base._zero()
-        inv = base._invert(b[-1])
-        r = list(a)
-        q = [z] * max(0, len(r) - len(b) + 1)
-        while len(r) >= len(b):
-            if r[-1] == z:
-                r.pop()
-                continue
-            c = base._mul(r[-1], inv)
-            q[len(r) - len(b)] = c
-            k = len(r) - len(b)
-            for j, d in enumerate(b):
-                r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
-            r.pop()
-        while r and r[-1] == z:
-            r.pop()
-        while q and q[-1] == z:
-            q.pop()
-        return q, r
+    def _residue_fields(self):
+        """(p, Z/p, mu mod p, CRT idempotent of p mod rad(n)) for each prime p | n."""
 
-    def _field_mul(self, a, b):
-        base = self.base
-        if not a or not b:
-            return []
-        z = base._zero()
-        out = [z] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c != z:
-                for j, d in enumerate(b):
-                    out[i + j] = base._add(out[i + j], base._mul(c, d))
-        while out and out[-1] == z:
-            out.pop()
-        return out
+        def fields():
+            if not isinstance(self.base, ModularRing):
+                raise UnsupportedError(f"units and annihilators over {self} need a base Z/n or a field")
+            primes = list(self.base.factors())
+            rad = math.prod(primes)
+            return [
+                (p, ModularRing(p), _mod_p(self.modulus, p), rad // p * pow(rad // p, -1, p))
+                for p in primes
+            ]
 
-    def _field_sub(self, a, b):
-        base = self.base
-        z = base._zero()
-        out = [z] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = base._add(out[i], base._neg(c))
-        while out and out[-1] == z:
-            out.pop()
-        return out
+        return _memo(self, "_fields", fields)
 
     def _zero(self):
         return ()
@@ -1308,14 +1408,8 @@ def is_zero_divisor(x):
     ring = x.ring
     if x.is_zero():
         return False
-    if isinstance(ring, ModularRing):
-        return math.gcd(x.payload, ring.n) != 1
     if ring.finite:
-        zero = ring._zero()
-        for b in ring.payloads():
-            if b != zero and ring._mul(x.payload, b) == zero:
-                return True
-        return False
+        return ring._annihilator(x.payload) is not None
     if ring.is_domain:
         return False
     raise UnsupportedError(f"zero-divisor test undecidable over {ring}")

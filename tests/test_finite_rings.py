@@ -1,0 +1,332 @@
+"""Finite rings by structure: quantum characteristic, units, inverses and
+annihilators of Z/n and Z/n[X]/(mu), checked against plain-int oracles that
+walk and enumerate (nothing here calls the code paths under test to build an
+expectation)."""
+
+import itertools
+import json
+import math
+
+import pytest
+
+from qarith import (
+    ZI,
+    ZZ,
+    ModularRing,
+    PolynomialRing,
+    QContext,
+    QuotientRing,
+    UnsupportedError,
+    certify_flatness,
+    is_zero_divisor,
+    ntheory,
+    parse_element,
+    parse_ring,
+    q_characteristic,
+)
+from qarith.cli import main
+from conftest import run_python
+
+# --- plain-int oracles --------------------------------------------------------
+
+
+def plain_qchar(n, q):
+    """Least m >= 1 with 1 + q + ... + q^(m-1) = 0 mod n, or 0 when the orbit repeats first."""
+    seen = set()
+    s, pw, m = 0, 1 % n, 0
+    while (s, pw) not in seen:
+        seen.add((s, pw))
+        s, pw, m = (s + pw) % n, pw * q % n, m + 1
+        if s == 0:
+            return m
+    return 0
+
+
+def plain_order(q, p):
+    order, x = 1, q % p
+    while x != 1:
+        x, order = x * q % p, order + 1
+    return order
+
+
+class Model:
+    """Z/n[X]/(mu) on fixed-length coefficient tuples, mu monic, constant first."""
+
+    def __init__(self, n, mu):
+        self.n, self.mu, self.d = n, mu, len(mu) - 1
+        self.zero = (0,) * self.d
+        self.one = (1 % n,) + (0,) * (self.d - 1)
+
+    def elements(self):
+        return itertools.product(range(self.n), repeat=self.d)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.n for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        n, d, mu = self.n, self.d, self.mu
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] % n
+            for j in range(d + 1):
+                prod[k - d + j] -= c * mu[j]
+        return tuple(x % n for x in prod[:d])
+
+    def pad(self, payload):
+        return tuple(payload) + (0,) * (self.d - len(payload))
+
+    def is_unit_by_rank(self, v):
+        """n prime: v is a unit iff multiplication by v has full rank over F_n."""
+        p = self.n
+        basis = [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
+        rows = [list(self.mul(v, e)) for e in basis]
+        rank = 0
+        for col in range(self.d):
+            pivot = next((r for r in range(rank, self.d) if rows[r][col] % p), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = pow(rows[rank][col], -1, p)
+            rows[rank] = [x * inv % p for x in rows[rank]]
+            for r in range(self.d):
+                if r != rank and rows[r][col]:
+                    c = rows[r][col]
+                    rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
+            rank += 1
+        return rank == self.d
+
+    def flatness(self, q, is_unit):
+        """(flat, divisible, least m with (m)_q nonzero and not a unit), by walking the orbit."""
+        seen = set()
+        s, pw, m = self.zero, self.one, 0
+        while (s, pw) not in seen:
+            seen.add((s, pw))
+            if s != self.zero and not is_unit(s):
+                return False, False, m
+            s, pw, m = self.add(s, pw), self.mul(pw, q), m + 1
+        return True, True, None
+
+    def state(self, q, m):
+        s, pw = self.zero, self.one
+        for _ in range(m):
+            s, pw = self.add(s, pw), self.mul(pw, q)
+        return s
+
+
+def quotient(n, mu):
+    return QuotientRing(PolynomialRing(ModularRing(n), "X"), mu)
+
+
+# prime, prime-power and mixed moduli; mu split, repeated, nilpotent or irreducible mod p
+QUOTIENTS = [
+    (6, (1, 0, 1)),
+    (6, (5, 0, 0, 1)),
+    (12, (1, 2, 1)),
+    (12, (0, 0, 1)),
+    (8, (1, 1, 0, 1)),
+    (9, (1, 0, 1)),
+    (25, (2, 0, 1)),
+]
+
+
+# --- quantum characteristic of Z/n ---------------------------------------------
+
+
+def test_q_characteristic_matches_plain_search():
+    for n in range(2, 121):
+        ring = ModularRing(n)
+        for q in range(n):
+            res = q_characteristic(QContext(ring, ring.from_int(q)))
+            expected = plain_qchar(n, q)
+            assert res.certified and res.p == expected, (n, q, res)
+            unit = math.gcd(q, n) == 1
+            assert res.rule == ("matrix-order" if unit else "non-unit q"), (n, q, res.rule)
+
+
+def test_q_characteristic_large_primes_is_multiplicative_order():
+    for p in (100003, 100019, 1000003):
+        ring = ModularRing(p)
+        for q in (1, 2, 3, p - 1):
+            res = q_characteristic(QContext(ring, ring.from_int(q)), bound=p)
+            expected = p if q == 1 else plain_order(q, p)
+            assert (res.p, res.certified, res.rule) == (expected, True, "matrix-order"), (p, q)
+
+
+def test_structural_characteristic_respects_bound():
+    ring = ModularRing(1000003)
+    res = q_characteristic(QContext(ring, ring.from_int(2)))
+    assert res.is_unknown and res.bound == 10**6 and res.rule is None
+    assert q_characteristic(QContext(ring, ring.from_int(2)), bound=1100000).p == plain_order(2, 1000003)
+
+
+def test_rules_on_infinite_rings():
+    assert q_characteristic(QContext(ZI, ZI.generator)).rule == "period-walk"
+    assert q_characteristic(QContext(ZZ, ZZ.one)).rule == "q^d=1 & torsion-free"
+    zt = PolynomialRing(ZZ, "t")
+    assert q_characteristic(QContext(zt, zt.generator)).rule == "root-of-unity bound"
+    qx = parse_ring("Q[X]/(X^2-1)")
+    assert q_characteristic(QContext(qx, qx.generator)).rule == "q^d=1 & torsion-free"
+
+
+def test_qchar_json_names_the_rule(capsys):
+    assert main(["qchar", "--ring", "Z/8", "--q", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == {"p": 4, "certified": True, "bound": None}
+    assert payload["certificate"] == {"rule": "matrix-order"}
+    assert main(["qchar", "--ring", "Z/8", "--q", "3"]) == 0
+    assert capsys.readouterr().out == "4\n"
+
+
+# --- quotients: units, inverses, annihilators -----------------------------------
+
+
+@pytest.mark.parametrize("n,mu", QUOTIENTS)
+def test_quotient_inverse_and_annihilator_match_enumeration(n, mu):
+    ring, model = quotient(n, mu), Model(n, mu)
+    elems = list(model.elements())
+    for v in elems:
+        products = [model.mul(v, w) for w in elems]
+        inverses = {w for w, vw in zip(elems, products) if vw == model.one}
+        killers = {w for w, vw in zip(elems, products) if vw == model.zero and w != model.zero}
+        payload = ring.normalize(v)
+        inv = ring._invert(payload)
+        assert (inv is not None) == bool(inverses), (n, mu, v)
+        if inv is not None:
+            inv = model.pad(inv)
+            assert inv in inverses
+            assert model.mul(v, inv) == model.one and model.mul(inv, v) == model.one
+        ann = ring._annihilator(payload)
+        assert (ann is not None) == bool(killers), (n, mu, v)
+        if ann is not None:
+            assert model.pad(ann) in killers
+        assert is_zero_divisor(ring.element(v)) == (v != model.zero and bool(killers))
+
+
+@pytest.mark.parametrize("n,mu", QUOTIENTS)
+def test_quotient_flatness_and_characteristic_match_enumeration(n, mu):
+    ring, model = quotient(n, mu), Model(n, mu)
+    elems = list(model.elements())
+    units = {v for v in elems if any(model.mul(v, w) == model.one for w in elems)}
+    for q in elems:
+        ctx = QContext(ring, ring.element(q))
+        cert = certify_flatness(ctx)
+        expected = model.flatness(q, units.__contains__)
+        assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected, (n, mu, q)
+        if cert.witness is not None:
+            m, a = cert.witness
+            a = model.pad(a.payload)
+            assert m == expected[2] and a != model.zero
+            assert model.mul(model.state(q, m), a) == model.zero
+        res = q_characteristic(ctx)
+        assert res.certified and res.p == _plain_quotient_qchar(model, q), (n, mu, q)
+        assert res.rule == ("period-walk" if q in units else "non-unit q")
+
+
+def _plain_quotient_qchar(model, q):
+    seen = set()
+    s, pw, m = model.zero, model.one, 0
+    while (s, pw) not in seen:
+        seen.add((s, pw))
+        s, pw, m = model.add(s, pw), model.mul(pw, q), m + 1
+        if s == model.zero:
+            return m
+    return 0
+
+
+@pytest.mark.parametrize(
+    "spec,q",
+    [
+        ("Z/2[X]/(X^12+X^3+1)", "X+1"),
+        ("Z/2[X]/(X^14+X+1)", "X+1"),
+        ("Z/7[X]/(X^4+X+3)", "X"),
+        ("Z/7[X]/(X^4+X+3)", "X+1"),
+    ],
+)
+def test_large_prime_quotient_flatness(spec, q):
+    # rings of 2401 to 16384 elements, decided without enumerating them;
+    # the oracle walks the orbit and tests units by rank over F_p
+    ring = parse_ring(spec)
+    n, mu = ring.base.n, ring.modulus
+    model = Model(n, mu)
+    qv = model.pad(parse_element(ring, q).payload)
+    cert = certify_flatness(QContext(ring, parse_element(ring, q)))
+    expected = model.flatness(qv, model.is_unit_by_rank)
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected
+    if cert.witness is not None:
+        m, a = cert.witness
+        assert model.mul(model.state(qv, m), model.pad(a.payload)) == model.zero
+
+
+def test_unfactorable_modulus_raises_instead_of_hanging():
+    big = 1000000000039 * 1000000000061  # two 13-digit primes: beyond the rho budget
+    zn = ModularRing(big)
+    with pytest.raises(UnsupportedError):
+        zn.factors()
+    with pytest.raises(UnsupportedError):
+        certify_flatness(QContext(zn, zn.from_int(2)))
+    # the characteristic falls back to the walk, which stays sound
+    res = q_characteristic(QContext(zn, zn.from_int(2)), bound=1000)
+    assert res.is_unknown and res.bound == 1000
+    ring = quotient(big, (1, 0, 1))
+    with pytest.raises(UnsupportedError):
+        ring.generator.try_invert()
+    with pytest.raises(UnsupportedError):
+        is_zero_divisor(ring.generator)
+    with pytest.raises(UnsupportedError):
+        certify_flatness(QContext(ring, ring.generator))
+
+
+# --- the number-theory helper ---------------------------------------------------
+
+
+def test_is_prime_against_sieve_and_pseudoprimes():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [n for n in range(limit) if ntheory.is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # strong pseudoprimes to the bases 2..7 and to every prime base up to 37
+    assert not ntheory.is_prime(3215031751)
+    assert not ntheory.is_prime(318665857834031151167461)
+    assert ntheory.is_prime(2**61 - 1)
+    with pytest.raises(UnsupportedError):
+        ntheory.is_prime(2**89 - 1)
+
+
+def test_factorize_totient_carmichael_against_brute_force():
+    for n in range(1, 3000):
+        factors = ntheory.factorize(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(ntheory.is_prime(p) for p in factors)
+    for n in range(1, 300):
+        units = [a for a in range(n) if math.gcd(a, n) == 1] if n > 1 else [0]
+        assert ntheory.totient(n) == len(units)
+        exponent = 1
+        while any(pow(a, exponent, n) != 1 % n for a in units):
+            exponent += 1
+        assert ntheory.carmichael(ntheory.factorize(n)) == exponent
+        assert ntheory.divisors(ntheory.factorize(n)) == [d for d in range(1, n + 1) if n % d == 0]
+    big = (2**61 - 1) * (2**31 - 1) * 1000003**2
+    assert ntheory.factorize(big) == {1000003: 2, 2**31 - 1: 1, 2**61 - 1: 1}
+
+
+# --- package import --------------------------------------------------------------
+
+
+def test_python_dash_m_qarith_cli_is_silent():
+    proc = run_python("-m", "qarith.cli", "qint", "--ring", "Z", "--q", "2", "3")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "7"
+    assert proc.stderr == ""
+
+
+def test_star_import_reaches_the_lazy_cli_names():
+    namespace = {}
+    exec("from qarith import *", namespace)
+    for name in ("parse_element", "parse_ring", "run_identity", "q_characteristic"):
+        assert callable(namespace[name])
