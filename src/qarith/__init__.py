@@ -84,7 +84,6 @@ from .twisted import (
     artin_schreier_check,
     assemble_from_twisted_basis,
     expand_in_twisted_basis,
-    principal_twisted_ideal_power,
     reduce_mod_twisted_ideal,
     twisted_binomial_check,
     twisted_power,

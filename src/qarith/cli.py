@@ -16,12 +16,14 @@ powers like ``t^(1/6)`` are available in Puiseux carriers.  Exit codes for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -354,6 +356,12 @@ class _Recorder:
             self.failures.append(CaseFailure(dict(inputs), detail, "violated"))
 
 
+def _sigma_algebra(ring, sigma_text):
+    """R[x] with sigma(x) given by an element expression in x."""
+    alg = TwistedAlgebra(ring, ("x",))
+    return alg.set_sigma({"x": parse_element(alg, sigma_text)})
+
+
 class _Env:
     def __init__(self, ring, q, ranges, sample=None, seed=0, sigma_text=None, h_text=None):
         self.ring = ring
@@ -393,9 +401,7 @@ class _Env:
     def affine_algebra(self, default_scale=None, default_shift=None):
         """Univariate algebra R[x] with sigma from --sigma, or q*x + h."""
         if self.sigma_text is not None:
-            alg = TwistedAlgebra(self.ring, ("x",))
-            image = parse_element(alg, self.sigma_text)
-            return alg.set_sigma({"x": image})
+            return _sigma_algebra(self.ring, self.sigma_text)
         scale = default_scale if default_scale is not None else self.require_q().q
         shift = default_shift
         if shift is None:
@@ -799,6 +805,8 @@ def run_identity(name, ring, q, ranges=None, sample=None, seed=0, sigma_text=Non
     """Run one cataloged identity exhaustively over its ranges."""
     if name not in IDENTITIES:
         raise DomainError(f"unknown identity {name!r}")
+    if sample is not None and sample < 0:
+        raise DomainError(f"sample must be non-negative, got {sample}")
     fn, defaults = IDENTITIES[name]
     merged = dict(defaults)
     if ranges:
@@ -830,272 +838,218 @@ class _ArgParser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser():
-    p = _ArgParser(prog="qarith", description="exact q-analog arithmetic over pluggable rings")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_q=True):
-        sp.add_argument("--ring", "-R", required=True, help="ring expression, e.g. 'Z[t]' or 'Z/8'")
-        if needs_q:
-            sp.add_argument("--q", help="element expression for q (default: the ring's generator)")
-        sp.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-
-    sp = sub.add_parser("qint", help="q-state of an integer")
-    common(sp)
-    sp.add_argument("m", type=int)
-
-    sp = sub.add_parser("qfact", help="q-factorial")
-    common(sp)
-    sp.add_argument("m", type=int)
-
-    sp = sub.add_parser("qbinom", help="q-binomial coefficient (Pascal recursion)")
-    common(sp)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
-
-    sp = sub.add_parser("qsym", help="symmetric quantum state [n]_v with v = q")
-    common(sp)
-    sp.add_argument("n", type=int)
-
-    sp = sub.add_parser("qrat", help="q-state of a rational (Puiseux carrier ring)")
-    common(sp)
-    sp.add_argument("r", help="rational number like 2/3 or -1/2")
-
-    sp = sub.add_parser("qchar", help="quantum characteristic")
-    common(sp)
-    sp.add_argument("--bound", type=int, default=10**6)
-
-    sp = sub.add_parser("qflat", help="flatness/divisibility certificate")
-    common(sp)
-
-    sp = sub.add_parser("tpow", help="twisted power f^(n) for sigma(x) given by --sigma")
-    common(sp, needs_q=False)
-    sp.add_argument("--sigma", required=True, help="image of x, e.g. 'x-1' or '2*x'")
-    sp.add_argument("--f", default="x", help="element of R[x] to raise (default x)")
-    sp.add_argument("n", type=int)
-
-    sp = sub.add_parser("expand", help="expansion of f in the twisted-power basis")
-    common(sp, needs_q=False)
-    sp.add_argument("--sigma", required=True, help="image of x; must be q*x+h with q a unit")
-    sp.add_argument("f", help="element of R[x]")
-
-    sp = sub.add_parser("verify", help="exhaustively verify a cataloged identity")
-    sp.add_argument("identity", choices=sorted(IDENTITIES), metavar="identity",
-                    help="one of: " + ", ".join(sorted(IDENTITIES)))
-    common(sp)
-    sp.add_argument("--n-max", type=int, dest="n_max")
-    sp.add_argument("--k-max", type=int, dest="k_max")
-    sp.add_argument("--m-max", type=int, dest="m_max")
-    sp.add_argument("--nm-max", type=int, dest="nm_max")
-    sp.add_argument("--r-max", type=int, dest="r_max")
-    sp.add_argument("--trials", type=int, dest="trials")
-    sp.add_argument("--bound", type=int, dest="bound")
-    sp.add_argument("--sample", type=int, help="randomly sample this many outer cases")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma", help="sigma image for the twisted identities")
-    sp.add_argument("--h", dest="h_text", help="shift element for sigmaen/artin_schreier")
-
-    sp = sub.add_parser("table", help="emit a CSV/JSON table")
-    sp.add_argument("kind", choices=["gauss_triangle", "qstate_orbit", "cyclo_factors"])
-    sp.add_argument("--ring", "-R", help="ring for qstate_orbit")
-    sp.add_argument("--q", help="q for qstate_orbit")
-    sp.add_argument("--n-max", type=int, dest="n_max", default=4)
-    sp.add_argument("--m-max", type=int, dest="m_max", default=8)
-    sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--json", action="store_true")
-
-    return p
+def _count(text):
+    """argparse type for --bound and --sample: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
-def _resolve_ring_q(args, needs_q=True):
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _str(x):
+    return None if x is None else str(x)
+
+
+def _resolve_ring_q(args, q_mode):
+    """The ring of --ring, and q from --q or else the ring's generator.
+
+    A missing q is an error for q_mode "default" and stays None for
+    "optional"; q_mode None takes no q at all.
+    """
     ring = parse_ring(args.ring)
-    q = None
-    if needs_q:
-        q_text = getattr(args, "q", None)
-        if q_text is not None:
-            q = parse_element(ring, q_text)
-        else:
-            q = ring.generator
-            if q is None:
-                raise DomainError(f"ring {ring} has no default q; pass --q")
+    if q_mode is None:
+        return ring, None
+    q = parse_element(ring, args.q) if args.q is not None else ring.generator
+    if q is None and q_mode == "default":
+        raise DomainError(f"ring {ring} has no default q; pass --q")
     return ring, q
 
 
-def _emit(args, payload, text):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+# Handlers take (args, ring, q) and return (JSON fields, text, exit code);
+# the fields are laid over schema_version/ring/q/op/args.  They call library
+# functions by their module-level names, so a wrapper rebound on this module
+# (perfbench's tracer) sees every call.
 
 
-def _eval_command(args):
-    op = args.command
-    needs_q = op not in ("tpow", "expand")
-    ring, q = _resolve_ring_q(args, needs_q=needs_q)
-    ctx = QContext(ring, q) if needs_q else None
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "ring": str(ring),
-        "q": None if q is None else str(q),
-        "op": op,
-        "args": {},
-    }
-    if op == "qint":
-        payload["args"] = {"m": args.m}
-        value = q_state(ctx, args.m)
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "qfact":
-        payload["args"] = {"m": args.m}
-        value = q_factorial(ctx, args.m)
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "qbinom":
-        payload["args"] = {"n": args.n, "k": args.k}
-        value = q_binomial(ctx, args.n, args.k)
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "qsym":
-        payload["args"] = {"n": args.n}
-        value = symmetric_state(ctx, args.n)
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "qrat":
-        payload["args"] = {"r": args.r}
-        if not isinstance(ring, RationalFunctionField):
-            raise DomainError("qrat needs a Q(t) or Q(t^(1/L)) ring")
-        sys_ = standard_root_system(cyc.divisors(ring.denominator))
-        value = q_state_rational(sys_, Fraction(args.r))
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "qchar":
-        payload["args"] = {"bound": args.bound}
-        res = q_characteristic(ctx, bound=args.bound)
-        payload["result"] = {"p": res.p, "certified": res.certified, "bound": res.bound}
-        payload["certificate"] = {"rule": res.rule}
-        _emit(args, payload, str(res))
-    elif op == "qflat":
-        cert = certify_flatness(ctx)
-        payload["result"] = {
-            "flat": cert.flat,
-            "divisible": cert.divisible,
-            "witness": None if cert.witness is None else [cert.witness[0], str(cert.witness[1])],
-            "nonunit_witness": cert.nonunit_witness,
-        }
-        _emit(args, payload, str(cert))
-    elif op == "tpow":
-        payload["args"] = {"sigma": args.sigma, "f": args.f, "n": args.n}
-        alg = TwistedAlgebra(ring, ("x",))
-        alg.set_sigma({"x": parse_element(alg, args.sigma)})
-        f = parse_element(alg, args.f)
-        value = twisted_power(alg, f, args.n)
-        payload["result"] = str(value)
-        _emit(args, payload, str(value))
-    elif op == "expand":
-        payload["args"] = {"sigma": args.sigma, "f": args.f}
-        alg = TwistedAlgebra(ring, ("x",))
-        alg.set_sigma({"x": parse_element(alg, args.sigma)})
-        basis = TwistedPowerBasis(alg)
-        coeffs = expand_in_twisted_basis(basis, parse_element(alg, args.f))
-        payload["result"] = {str(i): str(c) for i, c in sorted(coeffs.items())}
-        _emit(args, payload, "\n".join(f"{i}: {c}" for i, c in sorted(coeffs.items())))
-    return 0
+def _value(value):
+    """Handler output of a command whose answer is one element."""
+    return {"result": str(value)}, str(value), 0
 
 
-def _verify_command(args):
-    ring = parse_ring(args.ring)
-    q = parse_element(ring, args.q) if args.q is not None else ring.generator
-    ranges = {
-        k: getattr(args, k)
-        for k in ("n_max", "k_max", "m_max", "nm_max", "r_max", "trials", "bound")
-        if getattr(args, k, None) is not None
-    }
+def _qrat(args, ring, q):
+    if not isinstance(ring, RationalFunctionField):
+        raise DomainError("qrat needs a Q(t) or Q(t^(1/L)) ring")
     try:
-        report = run_identity(
-            args.identity,
-            ring,
-            q,
-            ranges=ranges,
-            sample=args.sample,
-            seed=args.seed,
-            sigma_text=args.sigma,
-            h_text=args.h_text,
-        )
-    except HypothesesUnmet as exc:
-        print(f"hypotheses unmet: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "ring": str(ring),
-            "q": None if q is None else str(q),
-            "op": "verify",
-            "args": {"identity": args.identity, **{k: v for k, v in sorted(report.ranges.items())}},
-            "report": report.to_json_payload(),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(report.render_text())
-    return report.exit_code
+        r = Fraction(args.r)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"expected a rational like 2/3 or -1/2, got {args.r!r}") from exc
+    return _value(q_state_rational(standard_root_system(cyc.divisors(ring.denominator)), r))
 
 
-def _table_command(args):
-    rows = []
-    ring = q = None
+def _qchar(args, ring, q):
+    res = q_characteristic(QContext(ring, q), bound=args.bound)
+    result = {"p": res.p, "certified": res.certified, "bound": res.bound}
+    return {"result": result, "certificate": {"rule": res.rule}}, str(res), 0
+
+
+def _qflat(args, ring, q):
+    cert = certify_flatness(QContext(ring, q))
+    witness = None if cert.witness is None else [cert.witness[0], str(cert.witness[1])]
+    result = {"flat": cert.flat, "divisible": cert.divisible, "witness": witness,
+              "nonunit_witness": cert.nonunit_witness}
+    return {"result": result}, str(cert), 0
+
+
+def _tpow(args, ring, q):
+    alg = _sigma_algebra(ring, args.sigma)
+    return _value(twisted_power(alg, parse_element(alg, args.f), args.n))
+
+
+def _expand(args, ring, q):
+    alg = _sigma_algebra(ring, args.sigma)
+    coeffs = sorted(expand_in_twisted_basis(TwistedPowerBasis(alg), parse_element(alg, args.f)).items())
+    return {"result": {str(i): str(c) for i, c in coeffs}}, "\n".join(f"{i}: {c}" for i, c in coeffs), 0
+
+
+_RANGES = ("n_max", "k_max", "m_max", "nm_max", "r_max", "trials", "bound")
+
+
+def _verify(args, ring, q):
+    report = run_identity(args.identity, ring, q, ranges={k: getattr(args, k) for k in _RANGES},
+                          sample=args.sample, seed=args.seed, sigma_text=args.sigma, h_text=args.h_text)
+    fields = {"args": report.ranges, "report": report.to_json_payload()}
+    return fields, report.render_text(), report.exit_code
+
+
+def _table(args, ring, q):
     if args.kind == "gauss_triangle":
-        header = ("n", "k", "polynomial")
+        header = "n,k,polynomial"
         ring = PolynomialRing(ZZ, "t")
         q = ring.generator
         ctx = QContext(ring, q)
-        for n in range(args.n_max + 1):
-            for k in range(n // 2 + 1):
-                rows.append((n, k, str(q_binomial(ctx, n, k))))
+        rows = [(n, k, str(q_binomial(ctx, n, k))) for n in range(args.n_max + 1) for k in range(n // 2 + 1)]
     elif args.kind == "qstate_orbit":
-        header = ("m", "value")
         if not args.ring:
             raise DomainError("qstate_orbit needs --ring")
-        ring, q = _resolve_ring_q(args)
+        header = "m,value"
+        ring, q = _resolve_ring_q(args, "default")
         ctx = QContext(ring, q)
-        for m in range(args.m_max + 1):
-            rows.append((m, str(q_state(ctx, m))))
+        rows = [(m, str(q_state(ctx, m))) for m in range(args.m_max + 1)]
     else:  # cyclo_factors
-        header = ("n", "factors")
-        for n in range(1, args.n + 1):
-            rows.append((n, ",".join(str(m) for m in cyc.factor_q_integer(n))))
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "ring": None if ring is None else str(ring),
-            "q": None if q is None else str(q),
-            "op": "table",
-            "args": {"kind": args.kind},
-            "result": [list(r) for r in rows],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(",".join(header))
-        for r in rows:
-            *front, last = r
-            print(",".join(str(v) for v in front) + f',"{last}"')
-    return 0
+        header = "n,factors"
+        rows = [(n, ",".join(str(m) for m in cyc.factor_q_integer(n))) for n in range(1, args.n + 1)]
+    lines = [header] + [",".join(str(v) for v in front) + f',"{last}"' for *front, last in rows]
+    return {"ring": _str(ring), "q": _str(q), "result": [list(r) for r in rows]}, "\n".join(lines), 0
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: main() parses its arguments and resolves ring and q
+    around the handler, then prints the text or the JSON object."""
+
+    help: str
+    handler: Callable  # (args, ring, q) -> (JSON fields, text, exit code)
+    arguments: tuple = ()  # (flags, options) for add_argument, after the common ones
+    echo: tuple = ()  # parsed arguments copied into the JSON "args"
+    q: str | None = "default"  # q_mode for _resolve_ring_q; None: no --q option
+    ring: bool = True  # False: no common --ring/--q/--json; the handler reads args
+    error_code: int = 1  # exit code for a QArithError
+
+
+_RING = _arg("--ring", "-R", required=True, help="ring expression, e.g. 'Z[t]' or 'Z/8'")
+_Q = _arg("--q", help="element expression for q (default: the ring's generator)")
+_JSON = _arg("--json", action="store_true", help="emit a JSON object instead of text")
+
+_COMMANDS = {
+    "qint": _Command("q-state of an integer", lambda args, ring, q: _value(q_state(QContext(ring, q), args.m)),
+                     (_arg("m", type=int),), echo=("m",)),
+    "qfact": _Command("q-factorial", lambda args, ring, q: _value(q_factorial(QContext(ring, q), args.m)),
+                      (_arg("m", type=int),), echo=("m",)),
+    "qbinom": _Command("q-binomial coefficient (Pascal recursion)",
+                       lambda args, ring, q: _value(q_binomial(QContext(ring, q), args.n, args.k)),
+                       (_arg("n", type=int), _arg("k", type=int)), echo=("n", "k")),
+    "qsym": _Command("symmetric quantum state [n]_v with v = q",
+                     lambda args, ring, q: _value(symmetric_state(QContext(ring, q), args.n)),
+                     (_arg("n", type=int),), echo=("n",)),
+    "qrat": _Command("q-state of a rational (Puiseux carrier ring)", _qrat,
+                     (_arg("r", help="rational number like 2/3 or -1/2"),), echo=("r",)),
+    "qchar": _Command("quantum characteristic", _qchar,
+                      (_arg("--bound", type=_count, default=10**6),), echo=("bound",)),
+    "qflat": _Command("flatness/divisibility certificate", _qflat),
+    "tpow": _Command("twisted power f^(n) for sigma(x) given by --sigma", _tpow, (
+        _arg("--sigma", required=True, help="image of x, e.g. 'x-1' or '2*x'"),
+        _arg("--f", default="x", help="element of R[x] to raise (default x)"),
+        _arg("n", type=int),
+    ), echo=("sigma", "f", "n"), q=None),
+    "expand": _Command("expansion of f in the twisted-power basis", _expand, (
+        _arg("--sigma", required=True, help="image of x; must be q*x+h with q a unit"),
+        _arg("f", help="element of R[x]"),
+    ), echo=("sigma", "f"), q=None),
+    "verify": _Command("exhaustively verify a cataloged identity", _verify, (
+        _arg("identity", choices=sorted(IDENTITIES), metavar="identity",
+             help="one of: " + ", ".join(sorted(IDENTITIES))),
+        *(_arg("--" + k.replace("_", "-"), type=_count if k == "bound" else int, dest=k) for k in _RANGES),
+        _arg("--sample", type=_count, help="randomly sample this many outer cases"),
+        _arg("--seed", type=int, default=0),
+        _arg("--sigma", help="sigma image for the twisted identities"),
+        _arg("--h", dest="h_text", help="shift element for sigmaen/artin_schreier"),
+    ), echo=("identity",), q="optional", error_code=3),
+    "table": _Command("emit a CSV/JSON table", _table, (
+        _arg("kind", choices=["gauss_triangle", "qstate_orbit", "cyclo_factors"]),
+        _arg("--ring", "-R", help="ring for qstate_orbit"),
+        _arg("--q", help="q for qstate_orbit"),
+        _arg("--n-max", type=int, dest="n_max", default=4),
+        _arg("--m-max", type=int, dest="m_max", default=8),
+        _arg("--n", type=int, default=6),
+        _arg("--json", action="store_true"),
+    ), echo=("kind",), ring=False),
+}
+
+
+@functools.cache
+def _build_parser():
+    """The parser for every command in _COMMANDS, built once, on first use."""
+    parser = _ArgParser(prog="qarith", description="exact q-analog arithmetic over pluggable rings")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        common = () if not cmd.ring else (_RING, _JSON) if cmd.q is None else (_RING, _Q, _JSON)
+        for flags, options in common + cmd.arguments:
+            sp.add_argument(*flags, **options)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
+    cmd = _COMMANDS[args.command]
+    ring = q = None
     try:
-        if args.command == "verify":
-            return _verify_command(args)
-        if args.command == "table":
-            return _table_command(args)
-        return _eval_command(args)
+        if cmd.ring:
+            ring, q = _resolve_ring_q(args, cmd.q)
+        fields, text, code = cmd.handler(args, ring, q)
+    except HypothesesUnmet as exc:
+        print(f"hypotheses unmet: {exc}", file=sys.stderr)
+        return 2
     except QArithError as exc:
-        code = 3 if args.command == "verify" else 1
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return cmd.error_code
+    if args.json:
+        payload = {"schema_version": SCHEMA_VERSION, "ring": _str(ring), "q": _str(q), "op": args.command}
+        payload.update(fields, args={**{k: getattr(args, k) for k in cmd.echo}, **fields.get("args", {})})
+        text = json.dumps(payload, sort_keys=True)
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -471,11 +471,6 @@ def assemble_from_twisted_basis(basis: TwistedPowerBasis, coeffs: dict) -> RingE
     return acc
 
 
-def principal_twisted_ideal_power(alg: TwistedAlgebra, x: RingElement, n: int) -> RingElement:
-    """Generator x^(n) of the n-th twisted power of the principal ideal (x)."""
-    return twisted_power(alg, x, n)
-
-
 def reduce_mod_twisted_ideal(basis: TwistedPowerBasis, f: RingElement, n: int) -> RingElement:
     """Canonical representative of f in A/(x^(n)): drop basis components >= n.
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from qarith import ParseError, parse_element, parse_ring
+from qarith import DomainError, ParseError, parse_element, parse_ring
+from qarith import cli
 from qarith.cli import CaseFailure, VerificationReport, main, run_identity
 from conftest import RING_SPECS, run_python
 
@@ -287,6 +288,88 @@ def test_table_json_stable(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["table", "unknown_kind"]) == 3
     assert main(["qbinom", "--ring", "Z[t]"]) == 3  # missing positionals
+    # counts are non-negative integers
+    assert main(["qchar", "--ring", "Z/8", "--q", "3", "--bound", "-5"]) == 3
+    assert "--bound: expected a non-negative integer, got '-5'" in capsys.readouterr().err
+    assert main(["verify", "pascal", "--ring", "Z/5", "--q", "2", "--sample", "-1"]) == 3
+    assert "--sample: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_run_identity_rejects_negative_sample():
+    ring = parse_ring("Z/5")
+    with pytest.raises(DomainError):
+        run_identity("pascal", ring, ring.from_int(2), sample=-1)
+
+
+@pytest.mark.parametrize("r", ["1/0", "abc"])
+def test_qrat_malformed_rational_is_an_error(capsys, r):
+    assert main(["qrat", "--ring", "Q(t)", r]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected a rational like 2/3 or -1/2, got {r!r}\n"
+
+
+def test_qrat_json_echoes_the_rational_as_typed(capsys):
+    code, out = run_cli(capsys, ["qrat", "--ring", "Q(t^(1/6))", "--json", "4/6"])
+    assert code == 0
+    assert json.loads(out)["args"] == {"r": "4/6"}
+
+
+# --- in-process reuse -----------------------------------------------------------
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    seen = []
+    parse_args = cli._ArgParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgParser, "parse_args", spy)
+    assert main(["qint", "--ring", "Z[t]", "3"]) == 0
+    assert main(["table", "cyclo_factors"]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    assert main(["qbinom", "--ring", "Z[t]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the following arguments are required: n, k" in captured.err
+    assert main(["qbinom", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qarith qbinom") and captured.err == ""
+    assert main(["qbinom", "--ring", "Z[t]", "4", "2"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("1 + t + 2*t^2 + t^3 + t^4\n", "")
+
+
+def test_verify_seed_falls_back_to_default(capsys):
+    ring = parse_ring("Z[t]")
+    cases = {seed: run_identity("symmetry", ring, ring.generator, sample=3, seed=seed).cases for seed in (0, 5)}
+    assert cases[0] != cases[5]
+    argv = ["verify", "symmetry", "--ring", "Z[t]", "--sample", "3", "--json"]
+    for extra, seed in ((["--seed", "5"], 5), ([], 0)):
+        code, out = run_cli(capsys, argv + extra)
+        assert code == 0
+        assert json.loads(out)["report"]["cases"] == cases[seed]
+
+
+def test_table_option_falls_back_to_default(capsys):
+    _, out = run_cli(capsys, ["table", "gauss_triangle", "--n-max", "2"])
+    assert out.splitlines()[-1] == '2,1,"1 + t"'
+    _, out = run_cli(capsys, ["table", "gauss_triangle"])
+    assert out.splitlines()[-1] == '4,2,"1 + t + 2*t^2 + t^3 + t^4"'
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse, gc, qarith.cli\n"
+        "print(sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects()))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_python_dash_m_runs_the_cli():
