@@ -308,7 +308,11 @@ class VerificationReport:
 
     @property
     def exit_code(self):
-        return 0 if not self.failures else 1
+        """0 when every case held, 1 on a counterexample, 2 when no case was
+        checked: a run that verified nothing must not read as a pass."""
+        if self.failures:
+            return 1
+        return 0 if self.cases else 2
 
     def render_text(self):
         lines = [
@@ -338,6 +342,10 @@ class VerificationReport:
 
 class HypothesesUnmet(Exception):
     pass
+
+
+class UsageError(Exception):
+    """A command line whose options do not fit together (exit code 3)."""
 
 
 class _Recorder:
@@ -839,7 +847,7 @@ class _ArgParser(argparse.ArgumentParser):
 
 
 def _count(text):
-    """argparse type for --bound and --sample: an integer >= 0."""
+    """argparse type for counts and ranges (--bound, --sample, --n-max, ...): an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -928,7 +936,22 @@ def _verify(args, ring, q):
     return fields, report.render_text(), report.exit_code
 
 
+# table kind -> the options it reads, with their defaults; any other option
+# given to that kind is a usage error
+_TABLES = {
+    "gauss_triangle": {"n_max": 4},
+    "qstate_orbit": {"ring": None, "q": None, "m_max": 8},
+    "cyclo_factors": {"n": 6},
+}
+
+
 def _table(args, ring, q):
+    options = _TABLES[args.kind]
+    for dest in ("ring", "q", "n_max", "m_max", "n"):
+        if getattr(args, dest) is None:
+            setattr(args, dest, options.get(dest))
+        elif dest not in options:
+            raise UsageError(f"table {args.kind} does not take --{dest.replace('_', '-')}")
     if args.kind == "gauss_triangle":
         header = "n,k,polynomial"
         ring = PolynomialRing(ZZ, "t")
@@ -995,19 +1018,19 @@ _COMMANDS = {
     "verify": _Command("exhaustively verify a cataloged identity", _verify, (
         _arg("identity", choices=sorted(IDENTITIES), metavar="identity",
              help="one of: " + ", ".join(sorted(IDENTITIES))),
-        *(_arg("--" + k.replace("_", "-"), type=_count if k == "bound" else int, dest=k) for k in _RANGES),
+        *(_arg("--" + k.replace("_", "-"), type=_count, dest=k) for k in _RANGES),
         _arg("--sample", type=_count, help="randomly sample this many outer cases"),
         _arg("--seed", type=int, default=0),
         _arg("--sigma", help="sigma image for the twisted identities"),
         _arg("--h", dest="h_text", help="shift element for sigmaen/artin_schreier"),
     ), echo=("identity",), q="optional", error_code=3),
     "table": _Command("emit a CSV/JSON table", _table, (
-        _arg("kind", choices=["gauss_triangle", "qstate_orbit", "cyclo_factors"]),
+        _arg("kind", choices=list(_TABLES)),
         _arg("--ring", "-R", help="ring for qstate_orbit"),
         _arg("--q", help="q for qstate_orbit"),
-        _arg("--n-max", type=int, dest="n_max", default=4),
-        _arg("--m-max", type=int, dest="m_max", default=8),
-        _arg("--n", type=int, default=6),
+        _arg("--n-max", type=_count, dest="n_max"),
+        _arg("--m-max", type=_count, dest="m_max"),
+        _arg("--n", type=_count),
         _arg("--json", action="store_true"),
     ), echo=("kind",), ring=False),
 }
@@ -1041,6 +1064,9 @@ def main(argv=None) -> int:
     except HypothesesUnmet as exc:
         print(f"hypotheses unmet: {exc}", file=sys.stderr)
         return 2
+    except UsageError as exc:
+        print(f"qarith {args.command}: error: {exc}", file=sys.stderr)
+        return 3
     except QArithError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cmd.error_code

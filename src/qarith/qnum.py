@@ -32,9 +32,9 @@ _UNSET = object()
 class QContext:
     """A ring paired with a distinguished q.
 
-    Caches powers of q, q-states and Pascal triangle rows; the caches are
-    single-writer appends and never observable from outside, so contexts can
-    be shared freely.
+    Caches powers of q, q-states and Pascal triangle rows (as payloads); the
+    caches are single-writer appends and never observable from outside, so
+    contexts can be shared freely.
     """
 
     def __init__(self, ring, q, q_inverse=None):
@@ -55,7 +55,7 @@ class QContext:
         self._states = [ring.zero]
         self._neg_states = [ring.zero]
         self._facts = [ring.one]
-        self._pascal = [[ring.one]]
+        self._pascal = [[ring._one()]]  # rows of payloads
 
     @property
     def q_inverse(self) -> Optional[RingElement]:
@@ -112,16 +112,21 @@ def q_binomial(ctx: QContext, n: int, k: int) -> RingElement:
         raise DomainError("q-binomial arguments must be natural numbers")
     if k > n:
         return ctx.ring.zero
+    ring = ctx.ring
     rows = ctx._pascal
-    while len(rows) <= n:
-        prev = rows[-1]
-        r = len(rows)
-        row = [ctx.ring.one]
-        for j in range(1, r):
-            row.append(prev[j - 1] + ctx.q_power(j) * prev[j])
-        row.append(prev[r - 1])
-        rows.append(row)
-    return rows[n][k]
+    if len(rows) <= n:
+        ctx.q_power(n - 1)
+        pows = [p.payload for p in ctx._pows[:n]]
+        add, mul, one = ring._add, ring._mul, ring._one()
+        while len(rows) <= n:
+            prev = rows[-1]
+            r = len(rows)
+            row = [one]
+            for j in range(1, r):
+                row.append(add(prev[j - 1], mul(pows[j], prev[j])))
+            row.append(prev[r - 1])
+            rows.append(row)
+    return RingElement(ring, rows[n][k])
 
 
 @dataclass(frozen=True)

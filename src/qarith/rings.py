@@ -83,7 +83,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"elements of {self.ring} and {other.ring} cannot be combined"
                 )
@@ -177,7 +177,8 @@ class RingElement:
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
-            return self.ring == other.ring and self.payload == other.payload
+            same = other.ring is self.ring or other.ring == self.ring
+            return same and self.payload == other.payload
         if isinstance(other, int):
             return self.payload == self.ring._from_int(other)
         return NotImplemented
@@ -612,6 +613,34 @@ def _fmt_terms(terms, var):
     return out
 
 
+def dense_strip(base, cs):
+    """The list cs of base payloads as a tuple without trailing zeros."""
+    z = base._zero()
+    while cs and cs[-1] == z:
+        cs.pop()
+    return tuple(cs)
+
+
+def dense_mul(base, a, b):
+    """Product of dense coefficient tuples (constant first, no trailing zeros)
+    over any commutative base, by a schoolbook loop on the base payload ops."""
+    if not a or not b:
+        return ()
+    z = base._zero()
+    out = [z] * (len(a) + len(b) - 1)
+    nz_a = sum(1 for c in a if c != z)
+    nz_b = sum(1 for c in b if c != z)
+    if nz_b < nz_a:
+        a, b = b, a
+    mul, add = base._mul, base._add
+    for i, c in enumerate(a):
+        if c != z:
+            for j, d in enumerate(b):
+                if d != z:
+                    out[i + j] = add(out[i + j], mul(c, d))
+    return dense_strip(base, out)
+
+
 class PolynomialRing(Ring):
     """Univariate polynomials over a base ring, dense payload tuples."""
 
@@ -627,17 +656,7 @@ class PolynomialRing(Ring):
         self._over_z = type(base) is IntegerRing
 
     def normalize(self, payload):
-        cs = [self.base.normalize(c) for c in payload]
-        z = self.base._zero()
-        while cs and cs[-1] == z:
-            cs.pop()
-        return tuple(cs)
-
-    def _strip(self, cs):
-        z = self.base._zero()
-        while cs and cs[-1] == z:
-            cs.pop()
-        return tuple(cs)
+        return dense_strip(self.base, [self.base.normalize(c) for c in payload])
 
     def _add(self, a, b):
         if self._over_z:
@@ -648,7 +667,7 @@ class PolynomialRing(Ring):
         add = self.base._add
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
-        return self._strip(out)
+        return dense_strip(self.base, out)
 
     def _neg(self, a):
         neg = self.base._neg
@@ -657,22 +676,7 @@ class PolynomialRing(Ring):
     def _mul(self, a, b):
         if self._over_z:
             return zpoly.mul(a, b)
-        if not a or not b:
-            return ()
-        base = self.base
-        z = base._zero()
-        out = [z] * (len(a) + len(b) - 1)
-        nz_a = sum(1 for c in a if c != z)
-        nz_b = sum(1 for c in b if c != z)
-        if nz_b < nz_a:
-            a, b = b, a
-        mul, add = base._mul, base._add
-        for i, c in enumerate(a):
-            if c != z:
-                for j, d in enumerate(b):
-                    if d != z:
-                        out[i + j] = add(out[i + j], mul(c, d))
-        return self._strip(out)
+        return dense_mul(self.base, a, b)
 
     def _invert(self, a):
         if not a:
@@ -718,7 +722,7 @@ class PolynomialRing(Ring):
             for j, d in enumerate(b):
                 r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
             r.pop()
-        return self._strip(q), self._strip(r)
+        return dense_strip(base, q), dense_strip(base, r)
 
     def _text(self, a):
         base = self.base

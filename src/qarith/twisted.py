@@ -7,6 +7,17 @@ of f is f * sigma(f) * ... * sigma^(n-1)(f), which specializes to ordinary
 powers (sigma = id), falling/rising Pochhammer products (sigma(x) = x -+ 1),
 and q-Pochhammer products (sigma(x) = q*x).
 
+A univariate algebra whose sigma is affine, sigma(x) = q*x + h (read off the
+generator's image when sigma is set, so ``univariate_affine``, a one-variable
+``diagonal`` and a parsed image such as ``x-1`` all qualify), takes a dense
+path.  sigma(f) is a Taylor shift of f's coefficients by h followed by
+scaling coefficient i by q^i, O(d^2) base operations.  ``twisted_power``
+splits by f^(a+b) = f^(a) * sigma^a(f^(b)) with
+sigma^a(x) = q^a*x + (a)_q*h, so it makes O(log n) shifts and products
+(``zpoly.mul`` over Z, a schoolbook loop on the base payloads otherwise)
+instead of n.  Multivariate and non-affine algebras substitute term by term
+and apply the inductive rule.
+
 For affine sigma(x) = q*x + h with q a unit, the twisted powers x^(0), x^(1),
 ... form a degree basis; ``expand_in_twisted_basis`` rewrites any univariate
 polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1).
@@ -14,9 +25,11 @@ polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
+from . import ntheory, zpoly
 from .errors import (
     BasisUnavailableError,
     DomainError,
@@ -25,8 +38,8 @@ from .errors import (
     RingMismatchError,
     UnsupportedError,
 )
-from .qnum import QContext, q_binomial, q_state
-from .rings import Ring, RingElement
+from .qnum import QContext, _matrix_power, q_binomial, q_state
+from .rings import IntegerRing, Ring, RingElement, dense_mul, dense_strip
 
 
 class TwistedAlgebra(Ring):
@@ -43,6 +56,7 @@ class TwistedAlgebra(Ring):
         self.torsion_free = base.torsion_free
         self.characteristic = base.characteristic
         self._sigma = None
+        self._affine = self._affine_of(self.sigma_images)
         if sigma is not None:
             self.set_sigma(sigma)
 
@@ -88,7 +102,23 @@ class TwistedAlgebra(Ring):
         for name in self.gens:
             table.setdefault(name, self.gen(name))
         self._sigma = table
+        self._affine = self._affine_of(table)
         return self
+
+    def _affine_of(self, images):
+        """(q, h) payloads with sigma(x) = q*x + h when the algebra is
+        univariate and sigma affine on its generator, else None."""
+        if len(self.gens) != 1:
+            return None
+        q = h = self.base._zero()
+        for (e,), c in images[self.gens[0]].payload:
+            if e == 1:
+                q = c
+            elif e == 0:
+                h = c
+            else:
+                return None
+        return q, h
 
     @property
     def sigma_images(self):
@@ -134,7 +164,10 @@ class TwistedAlgebra(Ring):
         return acc
 
     def sigma(self, f: RingElement) -> RingElement:
-        return self.substitute(f, self.sigma_images)
+        if self._affine is None:
+            return self.substitute(f, self.sigma_images)
+        cs = self._sigma_dense(self._to_dense(f.payload), 1)
+        return RingElement(self, self._from_dense(cs))
 
     def sigma_iter(self, f: RingElement, k: int) -> RingElement:
         if k < 0:
@@ -144,6 +177,40 @@ class TwistedAlgebra(Ring):
         return f
 
     # --- univariate accessors ---
+
+    def _to_dense(self, payload):
+        """Coefficient tuple of a univariate payload, constant first."""
+        if not payload:
+            return ()
+        cs = [self.base._zero()] * (payload[-1][0][0] + 1)
+        for (e,), c in payload:
+            cs[e] = c
+        return tuple(cs)
+
+    def _from_dense(self, cs):
+        z = self.base._zero()
+        return tuple(((i,), c) for i, c in enumerate(cs) if c != z)
+
+    def _sigma_dense(self, cs, m):
+        """sigma^m of a dense coefficient tuple, sigma affine: sigma^m(x) is
+        q^m*x + (m)_q*h, so this is a Taylor shift by (m)_q*h (Horner's
+        scheme, O(d^2) base operations), then coefficient i times q^(m*i)."""
+        base = self.base
+        add, mul = base._add, base._mul
+        q, h = self._affine
+        state, scale = _matrix_power(base, q, m)
+        shift = mul(state, h)
+        a = list(cs)
+        if shift != base._zero():
+            for i in range(len(a) - 1):
+                for j in range(len(a) - 2, i - 1, -1):
+                    a[j] = add(a[j], mul(shift, a[j + 1]))
+        if scale != base._one():
+            pw = scale
+            for i in range(1, len(a)):
+                a[i] = mul(a[i], pw)
+                pw = mul(pw, scale)
+        return dense_strip(base, a)
 
     def _require_univariate(self):
         if len(self.gens) != 1:
@@ -284,30 +351,46 @@ class TwistedAlgebra(Ring):
 
 
 def twisted_power(alg: TwistedAlgebra, f: RingElement, n: int, sigma_power: int = 1) -> RingElement:
-    """f * s(f) * ... * s^(n-1)(f) for s = sigma^sigma_power, by the inductive rule."""
+    """f * s(f) * ... * s^(n-1)(f) for s = sigma^sigma_power.
+
+    For an affine sigma(x) = q*x + h on a univariate algebra this splits in
+    two, f^(a+b) = f^(a) * s^a(f^(b)), with s^a(x) = q^m*x + (m)_q*h for
+    m = sigma_power * a: walking the bits of n takes O(log n) shifts and
+    products of dense coefficient tuples (``zpoly.mul`` over Z).  Any other
+    sigma uses the inductive rule.
+    """
     if n < 0:
         raise DomainError("twisted powers need n >= 0")
-    acc = alg.one
-    cur = f
-    for _ in range(n):
-        acc = acc * cur
-        cur = alg.sigma_iter(cur, sigma_power)
-    return acc
+    if alg._affine is None or n == 0:
+        acc = alg.one
+        cur = f
+        for _ in range(n):
+            acc = acc * cur
+            cur = alg.sigma_iter(cur, sigma_power)
+        return acc
+    if f.ring is not alg and f.ring != alg:
+        raise RingMismatchError(f"elements of {alg} and {f.ring} cannot be combined")
+    if sigma_power < 0:
+        raise DomainError("sigma iteration count must be >= 0")
+    mul = zpoly.mul if type(alg.base) is IntegerRing else functools.partial(dense_mul, alg.base)
+    first = alg._to_dense(f.payload)
+    acc, k = first, 1  # acc = f^(k)
+    for bit in bin(n)[3:]:
+        acc = mul(acc, alg._sigma_dense(acc, sigma_power * k))
+        k *= 2
+        if bit == "1":
+            acc = mul(acc, alg._sigma_dense(first, sigma_power * k))
+            k += 1
+    return RingElement(alg, alg._from_dense(acc))
 
 
 def _affine_data(alg: TwistedAlgebra):
     """(q, h) with sigma(x) = q*x + h over the base; rejects anything else."""
     alg._require_univariate()
-    img = alg.sigma_images[alg.gens[0]]
-    q, h = alg.base.zero, alg.base.zero
-    for exps, c in img.payload:
-        if exps[0] == 1:
-            q = RingElement(alg.base, c)
-        elif exps[0] == 0:
-            h = RingElement(alg.base, c)
-        else:
-            raise DomainError("sigma is not affine on the generator")
-    return q, h
+    if alg._affine is None:
+        raise DomainError("sigma is not affine on the generator")
+    q, h = alg._affine
+    return RingElement(alg.base, q), RingElement(alg.base, h)
 
 
 def affine_orbit(alg: TwistedAlgebra, n: int) -> RingElement:
@@ -407,7 +490,7 @@ def artin_schreier_check(base, h) -> RingElement:
     if isinstance(h, int):
         h = base.from_int(h)
     p = base.characteristic
-    if p <= 0 or any(p % d == 0 for d in range(2, p)):
+    if not ntheory.is_prime(p):
         raise UnsupportedError("Artin-Schreier check needs prime characteristic")
     alg = TwistedAlgebra.univariate_affine(base, base.one, h)
     x = alg.gen("x")

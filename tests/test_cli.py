@@ -295,6 +295,36 @@ def test_usage_error_exit_code(capsys):
     assert "--sample: expected a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
+def test_verify_never_passes_vacuously(capsys):
+    # a negative range is a usage error, not an empty run
+    assert main(["verify", "pascal", "--ring", "Z[t]", "--n-max", "-1"]) == 3
+    assert "--n-max: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert main(["verify", "lucas", "--ring", "Cyclo(3)", "--n-max", "-2", "--k-max", "-1"]) == 3
+    capsys.readouterr()
+    # a run that checks no case verifies nothing, so it does not exit 0
+    code, out = run_cli(capsys, ["verify", "pascal", "--ring", "Z[t]", "--n-max", "2", "--sample", "0"])
+    assert code == 2
+    assert "cases=0" in out
+    assert main(["verify", "pascal", "--ring", "Z[t]", "--n-max", "0"]) == 0
+
+
+def test_table_rejects_options_its_kind_does_not_read(capsys):
+    assert main(["table", "gauss_triangle", "--ring", "garbage"]) == 3
+    assert "table gauss_triangle does not take --ring" in capsys.readouterr().err
+    for argv in (
+        ["table", "gauss_triangle", "--q", "2"],
+        ["table", "gauss_triangle", "--m-max", "3"],
+        ["table", "cyclo_factors", "--n-max", "3"],
+        ["table", "qstate_orbit", "--ring", "Z/5", "--n", "3"],
+        ["table", "gauss_triangle", "--n-max", "-1"],
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().out == ""
+    # the option sets each kind declares still work, in text and JSON
+    assert main(["table", "qstate_orbit", "--ring", "Z/5", "--q", "2", "--m-max", "3", "--json"]) == 0
+    assert main(["table", "cyclo_factors", "--n", "4", "--json"]) == 0
+
+
 def test_run_identity_rejects_negative_sample():
     ring = parse_ring("Z/5")
     with pytest.raises(DomainError):

@@ -19,6 +19,8 @@ from qarith import (
     UnsupportedError,
     certify_flatness,
     embed_cyclotomic,
+    evaluate_factors,
+    factor_q_binomial,
     parse_ring,
     q_binomial,
     q_characteristic,
@@ -81,6 +83,16 @@ def test_binomial_examples():
     assert q_binomial(_ctx("Z/4", 1), 4, 2) == ModularRing(4).from_int(2)
     with pytest.raises(DomainError):
         q_binomial(ctx, -1, 0)
+
+
+@pytest.mark.parametrize("spec, q_int", [("Z[t]", None), ("Cyclo(7)", None), ("Z/8", 3), ("Z/8", 2), ("Q(t)", None)])
+def test_binomial_equals_cyclotomic_product(spec, q_int):
+    # [n, k]_q is the product of chi_m(q) over factor_q_binomial(n, k), so the
+    # Pascal rows must agree with evaluating those factors at q
+    ctx = _ctx(spec, q_int)
+    for n in range(41):
+        for k in range(n + 1):
+            assert q_binomial(ctx, n, k) == evaluate_factors(factor_q_binomial(n, k), ctx.q), (n, k)
 
 
 def test_binomial_counts_subspaces():

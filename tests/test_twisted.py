@@ -1,6 +1,7 @@
 """Twisted powers, their laws, basis expansion, and principal ideal powers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,11 +10,13 @@ from qarith import (
     ZZ,
     BasisUnavailableError,
     CyclotomicRing,
+    DomainError,
     EigenvectorError,
     ModularRing,
     PolynomialRing,
     QContext,
     RationalFunctionField,
+    RingMismatchError,
     TwistedAlgebra,
     TwistedPowerBasis,
     UnsupportedError,
@@ -304,3 +307,77 @@ def test_sigma_set_once():
     alg.set_sigma({"x": alg.gen("x")})
     with pytest.raises(Exception):
         alg.set_sigma({"x": alg.gen("x")})
+
+
+# --- the dense affine path against iterated substitution -----------------------
+
+
+def _substituted_powers(alg, f, n_max, sigma_power):
+    """[f^(0), ..., f^(n_max)] for s = sigma^sigma_power, by the inductive
+    rule with sigma applied by generic substitution only."""
+    out, cur = [alg.one], f
+    for _ in range(n_max):
+        out.append(out[-1] * cur)
+        for _ in range(sigma_power):
+            cur = alg.substitute(cur, alg.sigma_images)
+    return out
+
+
+def _affine_cases():
+    zq = PolynomialRing(ZZ, "q")
+    z12 = ModularRing(12)
+    return [
+        (ZZ, [0, 1, -1, 2, 3], [0, 1, -3]),
+        (QQ, [0, 1, -1, 2, QQ.element(Fraction(1, 2))], [0, 1, QQ.element(Fraction(-2, 3))]),
+        (z12, [0, 1, -1, 2, 6], [0, 1, 5]),
+        (zq, [0, 1, -1, 2, zq.generator], [0, 1, zq.generator + 1]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_affine_twisted_power_matches_substitution(case):
+    base, qs, hs = _affine_cases()[case]
+    rng = random.Random(case)
+    for q in qs:
+        for h in hs:
+            alg = TwistedAlgebra.univariate_affine(base, q, h)
+            x = alg.gen("x")
+            fs = [x, x + 2, alg.zero, alg.from_int(3)] + [alg.random_element(rng) for _ in range(2)]
+            for f in fs:
+                assert alg.sigma(f) == alg.substitute(f, alg.sigma_images), (q, h, f)
+            for f in fs[1:2] + fs[4:]:
+                for s in range(4):
+                    for n, expected in enumerate(_substituted_powers(alg, f, 12, s)):
+                        assert twisted_power(alg, f, n, s) == expected, (q, h, f, n, s)
+
+
+def test_affine_sigma_of_high_degree_matches_substitution():
+    alg = TwistedAlgebra.univariate_affine(ZZ, 3, -2)
+    rng = random.Random(5)
+    for deg in (5, 17, 30):
+        f = alg.element(tuple(((e,), rng.randint(-9, 9)) for e in range(deg + 1)))
+        assert alg.sigma(f) == alg.substitute(f, alg.sigma_images)
+    # sigma set from a parsed image detects the same affine data
+    cli_alg = TwistedAlgebra(ZZ, ("x",))
+    cli_alg.set_sigma({"x": cli_alg.gen("x") - 1})
+    assert str(twisted_power(cli_alg, cli_alg.gen("x"), 4)) == "-6*x + 11*x^2 - 6*x^3 + x^4"
+
+
+def test_twisted_power_errors_on_every_path():
+    affine = falling(ZZ)
+    sparse = TwistedAlgebra(ZZ, ("x", "y"))
+    sparse.set_sigma({"x": sparse.gen("x") - 1})
+    nonaffine = TwistedAlgebra(ZZ, ("x",))
+    nonaffine.set_sigma({"x": nonaffine.gen("x") ** 2})
+    for alg in (affine, sparse, nonaffine):
+        x = alg.gen("x")
+        with pytest.raises(DomainError, match="n >= 0"):
+            twisted_power(alg, x, -1)
+        for n in (1, 5):
+            with pytest.raises(DomainError, match="sigma iteration count"):
+                twisted_power(alg, x, n, -1)
+        assert twisted_power(alg, x, 0, -1).is_one()
+        with pytest.raises(RingMismatchError):
+            twisted_power(alg, falling(QQ).gen("x"), 2)
+    x = nonaffine.gen("x")
+    assert twisted_power(nonaffine, x, 3) == x * x**2 * x**4
