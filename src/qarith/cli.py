@@ -417,21 +417,26 @@ class _Env:
         return TwistedAlgebra.univariate_affine(self.ring, scale, shift)
 
 
-def _iv_pascal(env, rec):
-    ctx = env.require_q()
-    n_max = env.ranges["n_max"]
-    cache = {}
+def _pascal_oracle(ctx):
+    """(n, k) -> q-binomial, 0 <= k <= n, from Pascal rows of elements grown
+    on demand, apart from ``q_binomial`` and its caches."""
+    one = ctx.ring.one
+    rows = [[one]]
 
     def direct(n, k):
-        if k < 0 or k > n:
-            return env.ring.zero
-        if n == 0:
-            return env.ring.one
-        if (n, k) not in cache:
-            cache[(n, k)] = direct(n - 1, k - 1) + ctx.q_power(k) * direct(n - 1, k)
-        return cache[(n, k)]
+        while len(rows) <= n:
+            prev = rows[-1]
+            inner = [prev[j - 1] + ctx.q_power(j) * prev[j] for j in range(1, len(prev))]
+            rows.append([one] + inner + [prev[-1]])
+        return rows[n][k]
 
-    for n in env.pick(range(n_max + 1)):
+    return direct
+
+
+def _iv_pascal(env, rec):
+    ctx = env.require_q()
+    direct = _pascal_oracle(ctx)
+    for n in env.pick(range(env.ranges["n_max"] + 1)):
         for k in range(n + 1):
             rec.check({"n": n, "k": k}, q_binomial(ctx, n, k), direct(n, k))
 
@@ -602,12 +607,15 @@ def _iv_cyclo_fact(env, rec):
 
 
 def _iv_cyclo_binom(env, rec):
+    # against the Pascal recursion, not q_binomial, which reads rows above
+    # PASCAL_MAX_ROW off this same cyclotomic product
     ctx = env.require_q()
+    direct = _pascal_oracle(ctx)
     for n in env.pick(range(env.ranges["n_max"] + 1)):
         for k in range(n + 1):
             rec.check(
                 {"n": n, "k": k},
-                q_binomial(ctx, n, k),
+                direct(n, k),
                 cyc.evaluate_factors(cyc.factor_q_binomial(n, k), ctx.q),
             )
             for m in range(2, n + 1):

@@ -7,12 +7,15 @@ The exact divisions (``zpoly.divexact``) double as self-checks: a nonzero
 remainder means the table is corrupt and raises InternalError immediately.
 
 The factorization maps are symbolic (index sets and exponent maps); use
-``evaluate_factors`` to multiply them out at a point of any ring.
+``evaluate_factors`` to multiply them out at a point of any ring, or
+``gaussian_coefficients`` for the coefficients of [n, k]_t itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 
 from . import zpoly
 from .errors import DomainError
@@ -102,3 +105,42 @@ def evaluate_factors(factors, x):
     for m, e in items:
         acc = acc * eval_cyclotomic(m, x) ** e
     return acc
+
+
+def product_tree(xs, mul, one):
+    """The product of xs by a balanced binary tree of ``mul`` calls; ``one``
+    when xs is empty.  Operands of a level have about equal size, which is
+    where big-int and Kronecker products are cheapest per coefficient."""
+    xs = list(xs)
+    if not xs:
+        return one
+    while len(xs) > 1:
+        pairs = [mul(xs[i], xs[i + 1]) for i in range(0, len(xs) - 1, 2)]
+        if len(xs) % 2:
+            pairs.append(xs[-1])
+        xs = pairs
+    return xs[0]
+
+
+def gaussian_coefficients(n, k, fold=None):
+    """Coefficients of the q-binomial [n, k]_t in Z[t], constant term first;
+    with ``fold`` = m, those of its residue modulo t^m - 1 (length <= m).
+
+    The chi_d of ``factor_q_binomial(n, k)`` are packed at t = B = 2^w
+    (``zpoly._pack``) and multiplied as integers, modulo B^m - 1 after every
+    product when folding, since t^m - 1 maps to B^m - 1.  The coefficients
+    of [n, k]_t, and of its fold, are >= 0 and sum to C(n, k) < B, so the
+    base-B digits of the product are exactly those coefficients, and the
+    folded value lies below B^m - 1, where the reduction leaves it unchanged.
+    """
+    nbytes = (math.comb(n, k).bit_length() + 7) // 8  # 2^(8*nbytes) > C(n, k)
+    packed = [zpoly._pack(cyclotomic_poly(d), nbytes) for d in factor_q_binomial(n, k)]
+    if fold is None:
+        value = product_tree(packed, operator.mul, 1)
+        size = k * (n - k) + 1
+    else:
+        modulus = (1 << (8 * nbytes * fold)) - 1
+        value = product_tree([x % modulus for x in packed], lambda a, b: a * b % modulus, 1)
+        size = fold
+    data = value.to_bytes(nbytes * size, "little")
+    return zpoly.strip([int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)])

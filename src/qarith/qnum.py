@@ -3,10 +3,21 @@ quantum characteristic, and flatness/divisibility certification.
 
 The q-state of m >= 0 is the geometric sum 1 + q + ... + q^(m-1), built by the
 inductive rule (m+1)_q = (m)_q + q^m; for m < 0 (q invertible) it is
--(q^-1 + ... + q^m).  Binomial coefficients are defined by the Pascal
-recursion C(n,k) = C(n-1,k-1) + q^k * C(n-1,k), which needs no division; the
-cyclotomic product and factorial quotient forms live in ``cyclotomic`` and the
-test suite as independent cross-checks.
+-(q^-1 + ... + q^m).  The q-factorial (m)_q! multiplies the states from the
+largest cached factorial below m on, as a balanced product tree.
+
+Binomial coefficients take one of two routes, both division-free:
+
+* rows n <= ``PASCAL_MAX_ROW`` on every ring, and every row on rings without
+  the structure below: the Pascal recursion C(n,k) = C(n-1,k-1) + q^k C(n-1,k),
+  whose rows each context caches, so a sweep over small n costs one addition
+  and one product per entry;
+* rows above it when q is the generator t of Z[t], of Cyclo(m) or of Q(t):
+  [n, k]_t is the product of the chi_d with floor(n/d) - floor(k/d) -
+  floor((n-k)/d) = 1 (``cyclotomic.factor_q_binomial``), read off as base-2^w
+  digits of one integer product (``cyclotomic.gaussian_coefficients``),
+  O(n) packed factors and no triangle.  Each context chooses once, on its
+  first row above the cap.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ntheory
-from .cyclotomic import eval_cyclotomic
+from .cyclotomic import eval_cyclotomic, gaussian_coefficients, product_tree
 from .errors import (
     DomainError,
     InternalError,
@@ -24,17 +35,31 @@ from .errors import (
     RingMismatchError,
     UnsupportedError,
 )
-from .rings import CyclotomicRing, ModularRing, Ring, RingElement
+from .rings import (
+    CyclotomicRing,
+    IntegerRing,
+    ModularRing,
+    PolynomialRing,
+    RationalFunctionField,
+    Ring,
+    RingElement,
+)
 
 _UNSET = object()
+
+# Largest row that q_binomial builds by the Pascal recursion on rings where
+# the cyclotomic product applies.  Sweeps over all n and k reuse the cached
+# rows, and below this row they are cheaper than one product per entry.
+PASCAL_MAX_ROW = 24
 
 
 class QContext:
     """A ring paired with a distinguished q.
 
-    Caches powers of q, q-states and Pascal triangle rows (as payloads); the
-    caches are single-writer appends and never observable from outside, so
-    contexts can be shared freely.
+    Caches powers of q, q-states, the q-factorials asked for, Pascal
+    triangle rows (as payloads) and binomials computed by cyclotomic
+    products; the caches only grow and are never observable from outside,
+    so contexts can be shared freely.
     """
 
     def __init__(self, ring, q, q_inverse=None):
@@ -54,8 +79,10 @@ class QContext:
         self._neg_pows = [ring.one]
         self._states = [ring.zero]
         self._neg_states = [ring.zero]
-        self._facts = [ring.one]
+        self._facts = {0: ring._one()}  # m -> payload of (m)_q!
         self._pascal = [[ring._one()]]  # rows of payloads
+        self._structural = _UNSET  # (n, k) -> payload above PASCAL_MAX_ROW, or None
+        self._binoms = {}  # (n, min(k, n - k)) -> payload, structural rows only
 
     @property
     def q_inverse(self) -> Optional[RingElement]:
@@ -97,22 +124,68 @@ def q_state(ctx: QContext, m: int) -> RingElement:
 
 
 def q_factorial(ctx: QContext, m: int) -> RingElement:
-    """(m)_q! = (m)_q (m-1)_q ... (1)_q, with (0)_q! = 1."""
+    """(m)_q! = (m)_q (m-1)_q ... (1)_q, with (0)_q! = 1.
+
+    From the largest cached m' < m: the states (m'+1)_q ... (m)_q are
+    multiplied as a balanced tree, then once by (m')_q!, so out-of-order
+    queries cost m - m' ring products and the cache holds only the m asked.
+    """
     if m < 0:
         raise DomainError("q-factorial needs m >= 0")
-    facts = ctx._facts
-    while len(facts) <= m:
-        facts.append(facts[-1] * q_state(ctx, len(facts)))
-    return facts[m]
+    ring, facts = ctx.ring, ctx._facts
+    value = facts.get(m)
+    if value is None:
+        start = max(j for j in facts if j < m)
+        states = [q_state(ctx, j).payload for j in range(start + 1, m + 1)]
+        value = facts[m] = ring._mul(facts[start], product_tree(states, ring._mul, ring._one()))
+    return RingElement(ring, value)
+
+
+def _structural_binomial(ctx: QContext):
+    """(n, k) -> payload of [n, k]_t by ``gaussian_coefficients`` when q is
+    the generator t of Z[t], Cyclo(m) or Q(t); None on any other context."""
+    ring = ctx.ring
+    gen = ring.generator
+    if gen is None or ctx.q.payload != gen.payload:
+        return None
+    kind = type(ring)
+    if kind is PolynomialRing and type(ring.base) is IntegerRing:
+        return gaussian_coefficients
+    if kind is RationalFunctionField and ring.denominator == 1:
+        return lambda n, k: (gaussian_coefficients(n, k), (1,))
+    if kind is CyclotomicRing:
+        m = ring.p
+
+        def cyclo(n, k):
+            if n // m - k // m - (n - k) // m:  # chi_m divides [n, k]_t
+                return ()
+            return ring._reduce(gaussian_coefficients(n, k, fold=m))
+
+        return cyclo
+    return None
 
 
 def q_binomial(ctx: QContext, n: int, k: int) -> RingElement:
-    """Pascal-recursion q-binomial coefficient; zero for k > n."""
+    """q-binomial coefficient; zero for k > n.
+
+    Rows up to ``PASCAL_MAX_ROW``, and every row unless q is the generator t
+    of Z[t], Cyclo(m) or Q(t), come from the cached Pascal triangle; the
+    rows above it on those rings from the cyclotomic product, memoized.
+    """
     if n < 0 or k < 0:
         raise DomainError("q-binomial arguments must be natural numbers")
     if k > n:
         return ctx.ring.zero
     ring = ctx.ring
+    if n > PASCAL_MAX_ROW:
+        if ctx._structural is _UNSET:
+            ctx._structural = _structural_binomial(ctx)
+        if ctx._structural is not None:
+            key = (n, min(k, n - k))
+            value = ctx._binoms.get(key)
+            if value is None:
+                value = ctx._binoms[key] = ctx._structural(*key)
+            return RingElement(ring, value)
     rows = ctx._pascal
     if len(rows) <= n:
         ctx.q_power(n - 1)

@@ -329,7 +329,10 @@ class TwistedAlgebra(Ring):
         return out
 
     def descriptor(self):
-        return ("mpoly", self.base.descriptor(), self.gens)
+        # sigma is part of the algebra: the same generators under another
+        # sigma give another ring, whose elements must not mix with these
+        images = self.sigma_images
+        return ("mpoly", self.base.descriptor(), self.gens, tuple(images[g].payload for g in self.gens))
 
     def _name(self):
         return f"{self.base}[{','.join(self.gens)}]"

@@ -407,3 +407,18 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.strip() == "1 + t + t^2"
+
+
+def test_verify_cyclo_binom_is_independent_of_q_binomial(monkeypatch):
+    # above the Pascal cap q_binomial reads [n, k]_t off the cyclotomic
+    # product itself, so the identity must check that product against a
+    # recursion of its own
+    def unused(*args):
+        raise AssertionError("cyclo_binom must not call q_binomial")
+
+    monkeypatch.setattr(cli, "q_binomial", unused)
+    ring = parse_ring("Cyclo(7)")
+    report = run_identity("cyclo_binom", ring, ring.generator, ranges={"n_max": 30})
+    # one product check per (n, k) and one floor check per (n, k, m), 2 <= m <= n
+    assert report.cases == sum((n + 1) * max(n, 1) for n in range(31))
+    assert report.exit_code == 0

@@ -30,6 +30,7 @@ from qarith import (
     symmetric_binomial,
     symmetric_state,
 )
+from qarith.qnum import PASCAL_MAX_ROW
 from helpers import count_subspaces
 
 
@@ -93,6 +94,101 @@ def test_binomial_equals_cyclotomic_product(spec, q_int):
     for n in range(41):
         for k in range(n + 1):
             assert q_binomial(ctx, n, k) == evaluate_factors(factor_q_binomial(n, k), ctx.q), (n, k)
+
+
+def _pascal_only(spec):
+    # a context that never takes the cyclotomic route: every row is Pascal
+    ctx = _ctx(spec)
+    ctx._structural = None
+    return ctx
+
+
+STRUCTURAL_SPECS = ["Z[t]", "Cyclo(2)", "Cyclo(6)", "Cyclo(7)", "Cyclo(12)", "Cyclo(61)", "Q(t)"]
+
+
+@pytest.mark.parametrize("spec", STRUCTURAL_SPECS)
+def test_structural_binomial_matches_pascal(spec):
+    ctx, oracle = _ctx(spec), _pascal_only(spec)
+    for n in range(41):
+        for k in range(n + 1):
+            got = q_binomial(ctx, n, k)
+            assert got.payload == q_binomial(oracle, n, k).payload, (n, k)
+    assert ctx._structural is not None
+    assert len(ctx._pascal) == PASCAL_MAX_ROW + 1  # no row above the cap was built
+
+
+@pytest.mark.parametrize("m", [2, 6, 7, 12])
+def test_structural_binomial_vanishes_where_chi_m_divides(m):
+    # in Cyclo(m), [n, k]_t = 0 exactly when chi_m is one of its factors
+    ctx, oracle = _ctx(f"Cyclo({m})"), _pascal_only(f"Cyclo({m})")
+    vanishing = 0
+    for n in range(PASCAL_MAX_ROW + 1, 41):
+        for k in range(n + 1):
+            divides = m in factor_q_binomial(n, k)
+            got = q_binomial(ctx, n, k)
+            assert got.is_zero() == divides, (n, k)
+            assert got == q_binomial(oracle, n, k), (n, k)
+            vanishing += divides
+    assert vanishing > 0
+
+
+@pytest.mark.parametrize("spec", STRUCTURAL_SPECS)
+def test_structural_binomial_query_order(spec):
+    # descending n, shuffled k, then every query again: memoized answers
+    # (keyed by min(k, n - k)) must not depend on what came first
+    ctx, oracle = _ctx(spec), _pascal_only(spec)
+    rng = random.Random(spec)
+    queries = []
+    for n in range(40, PASCAL_MAX_ROW - 3, -1):
+        ks = list(range(n + 1))
+        rng.shuffle(ks)
+        queries += [(n, k) for k in ks]
+    for n, k in queries + queries[::-1]:
+        assert q_binomial(ctx, n, k) == q_binomial(oracle, n, k), (n, k)
+
+
+def test_structural_binomial_large_row():
+    ctx = _ctx("Z[t]")
+    cs = q_binomial(ctx, 160, 80).payload
+    assert len(cs) == 80 * 80 + 1
+    assert sum(cs) == math.comb(160, 80)
+    assert cs == cs[::-1] and min(cs) == 1
+
+
+@pytest.mark.parametrize(
+    "ring, q",
+    [
+        (parse_ring("Z[t,1/t]"), None),
+        (parse_ring("Q(t^(1/2))"), None),
+        (parse_ring("Z"), 2),
+        (parse_ring("Z[t]"), 2),
+        (parse_ring("Cyclo(5)"), 1),
+    ],
+)
+def test_no_structural_route_without_q_generator(ring, q):
+    # q is not the generator t of Z[t], Cyclo(m) or Q(t): Pascal above the cap
+    ctx = QContext(ring, ring.generator if q is None else ring.from_int(q))
+    q_binomial(ctx, PASCAL_MAX_ROW + 2, 3)
+    assert ctx._structural is None
+    assert len(ctx._pascal) == PASCAL_MAX_ROW + 3
+
+
+def _stepwise_factorial(ctx, m):
+    # oracle: the product of power sums, no q-state cache, no tree
+    acc = ctx.ring.one
+    for j in range(1, m + 1):
+        state = ctx.ring.zero
+        for i in range(j):
+            state = state + ctx.q**i
+        acc = acc * state
+    return acc
+
+
+@pytest.mark.parametrize("spec, q_int", [("Z[t]", None), ("Z/8", 3), ("Q(t)", None), ("Z[t,1/t]", None)])
+def test_factorial_out_of_order(spec, q_int):
+    ctx = _ctx(spec, q_int)
+    for m in (7, 3, 12, 0, 5, 12, 1, 20, 15, 16, 2, 20):
+        assert q_factorial(ctx, m) == _stepwise_factorial(ctx, m), m
 
 
 def test_binomial_counts_subspaces():

@@ -200,7 +200,8 @@ def test_artin_schreier():
     v3 = artin_schreier_check(z3, 1)
     x3 = v3.ring.gen("x")
     assert v3 == x3**3 - x3
-    assert artin_schreier_check(z3, 0) == x3**3
+    v0 = artin_schreier_check(z3, 0)  # sigma = id: an algebra of its own
+    assert v0 == v0.ring.gen("x") ** 3
     for h in range(3):
         artin_schreier_check(z3, h)
     with pytest.raises(UnsupportedError):
@@ -381,3 +382,16 @@ def test_twisted_power_errors_on_every_path():
             twisted_power(alg, falling(QQ).gen("x"), 2)
     x = nonaffine.gen("x")
     assert twisted_power(nonaffine, x, 3) == x * x**2 * x**4
+
+
+def test_sigma_is_part_of_the_algebra():
+    falling = TwistedAlgebra.univariate_affine(ZZ, 1, -1)
+    dilation = TwistedAlgebra.univariate_affine(ZZ, 2, 0)
+    assert falling != dilation
+    assert falling == TwistedAlgebra.univariate_affine(ZZ, 1, -1)
+    with pytest.raises(RingMismatchError):
+        twisted_power(falling, dilation.gen("x"), 3)
+    with pytest.raises(RingMismatchError):
+        falling.gen("x") + dilation.gen("x")
+    # an unset sigma is the identity, and equals an explicit one
+    assert TwistedAlgebra(ZZ, ("x",)) == TwistedAlgebra.univariate_affine(ZZ, 1, 0)
