@@ -32,7 +32,6 @@ from .rings import (
     LaurentRing,
     ModularRing,
     PolynomialRing,
-    PuiseuxRing,
     QuotientRing,
     RationalField,
     RationalFunctionField,

@@ -8,7 +8,7 @@ Ring grammar::
 
 Elements use ASCII expressions in the ring's atoms: integer literals, the
 ring variable (``i`` for Z[i]), ``+ - * / ^`` and parentheses;  fractional
-powers like ``t^(1/6)`` are available in Puiseux carriers.  Exit codes for
+powers like ``t^(1/6)`` are available in ``Q(t^(1/L))``.  Exit codes for
 ``verify``: 0 all pass, 1 counterexample found, 2 hypotheses unmet,
 3 usage error.
 """

@@ -14,19 +14,21 @@ equality is ring equality and every operation returns a normalized result:
 * ``Cyclo(p)``     -- integer residue vector of degree < deg chi_p
 * ``B[x]/(mu)``    -- residue vector of degree < deg mu (mu needs a unit leading
                       coefficient so remainder division is defined over B = Z/n or Q)
-* ``Q[t^(1/L)]``, ``Q(t^(1/L))`` -- polynomials/fractions in s = t^(1/L)
+* ``Q(t^(1/L))``   -- a ``Q(t)`` payload in s = t^(1/L)
 
-Dense integer-polynomial arithmetic lives in one kernel, ``zpoly``:
-``Z[t]`` (a ``PolynomialRing`` whose base is exactly ``IntegerRing``) adds and
-multiplies with it, ``Cyclo(p)`` multiplies with ``zpoly.mul`` and reduces
-with ``zpoly.reduce_cyclotomic`` (fold modulo t^p - 1, then divide by
-chi_p), and ``Q(t)`` keeps its numerators and denominators as ``zpoly``
-tuples.  ``zpoly.mul`` shifts and scales when one factor is a monomial, runs
-a sparse schoolbook product when the sparser factor has fewer than
-``zpoly.KRONECKER_MIN_TERMS`` nonzero terms, and otherwise packs both
-factors into big ints (Kronecker substitution) with slots wide enough for
-the bound max|a| * max|b| * min(len a, len b) on every product coefficient.
-Polynomials over any other base ring use the generic loops below.
+Dense polynomials over any base are tuples of base payloads, constant first,
+with no trailing zeros.  The ``dense_*`` functions are the one place that
+loops over them: ``dense_strip``, ``dense_add``, ``dense_neg``,
+``dense_mul``, ``dense_divmod`` (remainder division by a unit leading
+coefficient), ``dense_euclid`` (extended Euclid over a field) and
+``dense_scale``.  ``PolynomialRing``, ``QuotientRing``, the inverse in
+``Cyclo(p)`` and the dense path of ``twisted`` all use them.  Over an exact
+``IntegerRing`` base ``dense_add`` and ``dense_mul`` hand the tuples to the
+integer kernel ``zpoly``, which ``Cyclo(p)`` (``zpoly.mul`` and
+``zpoly.reduce_cyclotomic``) and ``Q(t)`` (numerators and denominators) use
+directly; see ``zpoly`` for how it multiplies.  The sparse
+(exponent, coefficient) payloads of ``Z[t,1/t]`` and ``TwistedAlgebra`` add
+with ``sparse_add``.
 
 Elements are immutable; all operations are pure and safe to share across
 threads.  Arithmetic on elements of different rings raises RingMismatchError.
@@ -585,6 +587,13 @@ def _fmt_exp(e):
     return str(e)
 
 
+def _power(var, e):
+    """var^e as monomial text; empty for e = 0."""
+    if not e:
+        return ""
+    return var if e == 1 else f"{var}^{_fmt_exp(e)}"
+
+
 def _signed_coeff(base, c):
     """(negated?, magnitude text) for a coefficient; negation done on the payload."""
     cs = base._text(c)
@@ -593,17 +602,17 @@ def _signed_coeff(base, c):
     return False, cs
 
 
-def _fmt_terms(terms, var):
-    """terms: iterable of (exponent, negated?, magnitude text), ascending exponent."""
+def _fmt_terms(terms):
+    """terms: iterable of (monomial text, negated?, magnitude text) in print
+    order; the constant term has the empty monomial."""
     parts = []
-    for e, neg, mag in terms:
+    for mono, neg, mag in terms:
         if "+" in mag or "-" in mag:
             mag = f"({mag})"
-        if not e:
+        if not mono:
             body = mag
         else:
-            v = var if e == 1 else f"{var}^{_fmt_exp(e)}"
-            body = v if mag == "1" else f"{mag}*{v}"
+            body = mono if mag == "1" else f"{mag}*{mono}"
         parts.append((neg, body))
     if not parts:
         return "0"
@@ -611,6 +620,12 @@ def _fmt_terms(terms, var):
     for neg, body in parts[1:]:
         out += (" - " if neg else " + ") + body
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials over any base: tuples of base payloads, constant first,
+# no trailing zeros
+# ---------------------------------------------------------------------------
 
 
 def dense_strip(base, cs):
@@ -621,9 +636,30 @@ def dense_strip(base, cs):
     return tuple(cs)
 
 
+def dense_add(base, a, b):
+    """a + b; over Z by the integer kernel."""
+    if type(base) is IntegerRing:
+        return zpoly.add(a, b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = base._add
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return dense_strip(base, out)
+
+
+def dense_neg(base, a):
+    """-a."""
+    neg = base._neg
+    return tuple(neg(c) for c in a)
+
+
 def dense_mul(base, a, b):
-    """Product of dense coefficient tuples (constant first, no trailing zeros)
-    over any commutative base, by a schoolbook loop on the base payload ops."""
+    """a * b over a commutative base: the integer kernel over Z, else a
+    schoolbook loop on the base payload ops that skips zero coefficients."""
+    if type(base) is IntegerRing:
+        return zpoly.mul(a, b)
     if not a or not b:
         return ()
     z = base._zero()
@@ -641,6 +677,57 @@ def dense_mul(base, a, b):
     return dense_strip(base, out)
 
 
+def dense_divmod(base, a, b):
+    """(q, r) with a = q*b + r and deg r < deg b; the leading coefficient of
+    b must be a unit of base."""
+    inv = base._invert(b[-1])
+    if inv is None:
+        raise UnsupportedError("division requires a unit leading coefficient")
+    z = base._zero()
+    r = list(a)
+    q = [z] * max(0, len(a) - len(b) + 1)
+    while len(r) >= len(b):
+        if r[-1] == z:
+            r.pop()
+            continue
+        c = base._mul(r[-1], inv)
+        k = len(r) - len(b)
+        q[k] = c
+        for j, d in enumerate(b):
+            r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
+        r.pop()
+    return dense_strip(base, q), dense_strip(base, r)
+
+
+def dense_euclid(base, a, m):
+    """(g, s) with g = gcd(a, m) up to a unit and s*a = g modulo m, over the
+    field base; a and m nonzero."""
+    r0, s0 = m, ()
+    r1, s1 = a, (base._one(),)
+    while r1:
+        q, r = dense_divmod(base, r0, r1)
+        s0, s1 = s1, dense_add(base, s0, dense_neg(base, dense_mul(base, q, s1)))
+        r0, r1 = r1, r
+    return r0, s0
+
+
+def dense_scale(base, cs, c):
+    """cs / c, for a unit c of base."""
+    inv = base._invert(c)
+    mul = base._mul
+    return tuple(mul(d, inv) for d in cs)
+
+
+def sparse_add(base, a, b):
+    """a + b for sorted (exponent, coefficient) tuples with nonzero coefficients."""
+    acc = dict(a)
+    z = base._zero()
+    add = base._add
+    for e, c in b:
+        acc[e] = add(acc[e], c) if e in acc else c
+    return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+
+
 class PolynomialRing(Ring):
     """Univariate polynomials over a base ring, dense payload tuples."""
 
@@ -652,30 +739,17 @@ class PolynomialRing(Ring):
         self.is_domain = base.is_domain
         self.torsion_free = base.torsion_free
         self.characteristic = base.characteristic
-        # int coefficients: add and multiply with the integer kernel
-        self._over_z = type(base) is IntegerRing
 
     def normalize(self, payload):
         return dense_strip(self.base, [self.base.normalize(c) for c in payload])
 
     def _add(self, a, b):
-        if self._over_z:
-            return zpoly.add(a, b)
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        add = self.base._add
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return dense_strip(self.base, out)
+        return dense_add(self.base, a, b)
 
     def _neg(self, a):
-        neg = self.base._neg
-        return tuple(neg(c) for c in a)
+        return dense_neg(self.base, a)
 
     def _mul(self, a, b):
-        if self._over_z:
-            return zpoly.mul(a, b)
         return dense_mul(self.base, a, b)
 
     def _invert(self, a):
@@ -703,35 +777,10 @@ class PolynomialRing(Ring):
     def degree(self, a):
         return len(a) - 1
 
-    def _divmod(self, a, b):
-        """Remainder division; leading coefficient of b must be a unit."""
-        base = self.base
-        inv = base._invert(b[-1])
-        if inv is None:
-            raise UnsupportedError("division requires a unit leading coefficient")
-        z = base._zero()
-        r = list(a)
-        q = [z] * max(0, len(a) - len(b) + 1)
-        while len(r) >= len(b):
-            if r[-1] == z:
-                r.pop()
-                continue
-            c = base._mul(r[-1], inv)
-            k = len(r) - len(b)
-            q[k] = c
-            for j, d in enumerate(b):
-                r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
-            r.pop()
-        return dense_strip(base, q), dense_strip(base, r)
-
     def _text(self, a):
         base = self.base
-        terms = [
-            (e, *_signed_coeff(base, c))
-            for e, c in enumerate(a)
-            if c != base._zero()
-        ]
-        return _fmt_terms(terms, self.var)
+        z = base._zero()
+        return _fmt_terms([(_power(self.var, e), *_signed_coeff(base, c)) for e, c in enumerate(a) if c != z])
 
     def descriptor(self):
         return ("poly", self.base.descriptor(), self.var)
@@ -754,56 +803,6 @@ class PolynomialRing(Ring):
     def root_of_unity_order_bound(self):
         # units of a polynomial ring over a domain are the base units
         return self.base.root_of_unity_order_bound() if self.base.is_domain else None
-
-
-class PuiseuxRing(PolynomialRing):
-    """Polynomials in t^(1/L) over Q, displayed with fractional exponents of t."""
-
-    def __init__(self, denominator, base=None):
-        if denominator < 1:
-            raise DomainError("exponent denominator must be >= 1")
-        base = base if base is not None else RationalField()
-        super().__init__(base, var="t")
-        self.denominator = denominator
-
-    def _text(self, a):
-        base = self.base
-        L = self.denominator
-        terms = [
-            (Fraction(e, L), *_signed_coeff(base, c))
-            for e, c in enumerate(a)
-            if c != base._zero()
-        ]
-        return _fmt_terms(terms, "t")
-
-    def descriptor(self):
-        return ("puiseux-poly", self.base.descriptor(), self.denominator)
-
-    def _name(self):
-        return f"{self.base}[t^(1/{self.denominator})]"
-
-    @property
-    def generator(self):
-        """The element t = s^L."""
-        z, o = self.base._zero(), self.base._one()
-        return RingElement(self, (z,) * self.denominator + (o,))
-
-    def atoms(self):
-        return {"t": self.generator.payload}
-
-    def _frac_pow(self, a, r):
-        mono = None
-        for i, c in enumerate(a):
-            if c != self.base._zero():
-                if mono is not None:
-                    raise DomainError("fractional powers only of single terms")
-                mono = (i, c)
-        if mono is None or mono[1] != self.base._one():
-            raise DomainError("fractional powers only of monic monomials")
-        e = mono[0] * r
-        if e.denominator != 1 or e < 0:
-            raise DomainError(f"exponent {e} is not covered by denominator {self.denominator}")
-        return (self.base._zero(),) * int(e) + (self.base._one(),)
 
 
 class LaurentRing(Ring):
@@ -830,14 +829,7 @@ class LaurentRing(Ring):
         return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
 
     def _add(self, a, b):
-        acc = dict(a)
-        z = self.base._zero()
-        for e, c in b:
-            if e in acc:
-                acc[e] = self.base._add(acc[e], c)
-            else:
-                acc[e] = c
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_add(self.base, a, b)
 
     def _neg(self, a):
         neg = self.base._neg
@@ -876,7 +868,7 @@ class LaurentRing(Ring):
 
     def _text(self, a):
         base = self.base
-        return _fmt_terms([(e, *_signed_coeff(base, c)) for e, c in a], self.var)
+        return _fmt_terms([(_power(self.var, e), *_signed_coeff(base, c)) for e, c in a])
 
     def descriptor(self):
         return ("laurent", self.base.descriptor(), self.var)
@@ -982,11 +974,10 @@ class RationalFunctionField(Ring):
 
     def _poly_text(self, cs):
         L = self.denominator
-        if L == 1:
-            terms = [(e, c < 0, str(abs(c))) for e, c in enumerate(cs) if c]
-        else:
-            terms = [(Fraction(e, L), c < 0, str(abs(c))) for e, c in enumerate(cs) if c]
-        return _fmt_terms(terms, self.var)
+        return _fmt_terms(
+            [(_power(self.var, e if L == 1 else Fraction(e, L)), c < 0, str(abs(c)))
+             for e, c in enumerate(cs) if c]
+        )
 
     def _text(self, x):
         num, den = x
@@ -1075,23 +1066,13 @@ class CyclotomicRing(Ring):
             return None
         # Bezout over Q[t] against the (irreducible) modulus; the inverse is a
         # unit of Z[t]/chi_p exactly when its field inverse has integer coords
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = [Fraction(c) for c in a]
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = zpoly.qdivmod(r0, r1)
-            qs = _qpolymul(q, s1)
-            s0, s1 = s1, _qpolysub(s0, qs)
-            r0, r1 = r1, r
-        if len(r0) != 1:
+        g, s = dense_euclid(QQ, tuple(map(Fraction, a)), tuple(map(Fraction, self.modulus)))
+        if len(g) != 1:
             return None
-        inv = [c / r0[0] for c in s0]
-        out = []
-        for c in inv:
-            if c.denominator != 1:
-                return None
-            out.append(int(c))
-        return self._reduce(out)
+        inv = dense_scale(QQ, s, g[0])
+        if any(c.denominator != 1 for c in inv):
+            return None
+        return self._reduce([int(c) for c in inv])
 
     def _zero(self):
         return ()
@@ -1103,7 +1084,7 @@ class CyclotomicRing(Ring):
         return self._reduce([n])
 
     def _text(self, a):
-        return _fmt_terms([(e, c < 0, str(abs(c))) for e, c in enumerate(a) if c], "t")
+        return _fmt_terms([(_power("t", e), c < 0, str(abs(c))) for e, c in enumerate(a) if c])
 
     def descriptor(self):
         return ("cyclo", self.p)
@@ -1129,99 +1110,7 @@ class CyclotomicRing(Ring):
 
 
 def _mod_p(cs, p):
-    out = [c % p for c in cs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _field_euclid(base, a, m):
-    """(g, s) with g = gcd(a, m) up to a unit and s*a = g modulo m, over the field base."""
-    r0, s0 = list(m), []
-    r1, s1 = list(a), [base._one()]
-    while r1:
-        q, r = _field_divmod(base, r0, r1)
-        s0, s1 = s1, _field_sub(base, s0, _field_mul(base, q, s1))
-        r0, r1 = r1, r
-    return r0, s0
-
-
-def _field_scale(base, cs, c):
-    """cs / c, for a unit c of base."""
-    inv = base._invert(c)
-    return tuple(base._mul(d, inv) for d in cs)
-
-
-def _field_divmod(base, a, b):
-    z = base._zero()
-    inv = base._invert(b[-1])
-    r = list(a)
-    q = [z] * max(0, len(r) - len(b) + 1)
-    while len(r) >= len(b):
-        if r[-1] == z:
-            r.pop()
-            continue
-        c = base._mul(r[-1], inv)
-        q[len(r) - len(b)] = c
-        k = len(r) - len(b)
-        for j, d in enumerate(b):
-            r[k + j] = base._add(r[k + j], base._neg(base._mul(c, d)))
-        r.pop()
-    while r and r[-1] == z:
-        r.pop()
-    while q and q[-1] == z:
-        q.pop()
-    return q, r
-
-
-def _field_mul(base, a, b):
-    if not a or not b:
-        return []
-    z = base._zero()
-    out = [z] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c != z:
-            for j, d in enumerate(b):
-                out[i + j] = base._add(out[i + j], base._mul(c, d))
-    while out and out[-1] == z:
-        out.pop()
-    return out
-
-
-def _field_sub(base, a, b):
-    z = base._zero()
-    out = [z] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = base._add(out[i], base._neg(c))
-    while out and out[-1] == z:
-        out.pop()
-    return out
-
-
-def _qpolymul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _qpolysub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return zpoly.strip(c % p for c in cs)
 
 
 class QuotientRing(Ring):
@@ -1258,37 +1147,36 @@ class QuotientRing(Ring):
         self._fields = None
 
     def normalize(self, payload):
-        cs = self.polyring.normalize(payload)
-        _, r = self.polyring._divmod(cs, self.modulus)
+        _, r = dense_divmod(self.base, self.polyring.normalize(payload), self.modulus)
         return r
 
     def _add(self, a, b):
-        return self.polyring._add(a, b)
+        return dense_add(self.base, a, b)
 
     def _neg(self, a):
-        return self.polyring._neg(a)
+        return dense_neg(self.base, a)
 
     def _mul(self, a, b):
-        prod = self.polyring._mul(a, b)
+        prod = dense_mul(self.base, a, b)
         if len(prod) < len(self.modulus):
             return prod
-        _, r = self.polyring._divmod(prod, self.modulus)
+        _, r = dense_divmod(self.base, prod, self.modulus)
         return r
 
     def _invert(self, a):
         if not a:
             return None
         if self.base.is_field:
-            g, s = _field_euclid(self.base, a, self.modulus)
-            return None if len(g) > 1 else self.normalize(_field_scale(self.base, s, g[0]))
+            g, s = dense_euclid(self.base, a, self.modulus)
+            return None if len(g) > 1 else self.normalize(dense_scale(self.base, s, g[0]))
         # Z/n: a unit modulo every prime p | n, then CRT to rad(n) and Newton
         # steps x <- x(2 - ax), each squaring the error 1 - ax, up to n
         parts = []
         for p, fp, mu_p, crt in self._residue_fields():
-            g, s = _field_euclid(fp, _mod_p(a, p), mu_p)
+            g, s = dense_euclid(fp, _mod_p(a, p), mu_p)
             if len(g) > 1:
                 return None
-            parts.append((_field_scale(fp, s, g[0]), crt))
+            parts.append((dense_scale(fp, s, g[0]), crt))
         x = self.normalize(
             tuple(sum(s[i] * crt for s, crt in parts if i < len(s)) for i in range(len(self.modulus) - 1))
         )
@@ -1304,9 +1192,9 @@ class QuotientRing(Ring):
         # a is a zero divisor iff g = gcd(a, mu) != 1 modulo some prime p | n;
         # then (mu/g) kills a modulo p, and n/p times it kills a modulo n
         for p, fp, mu_p, _ in self._residue_fields():
-            g, _ = _field_euclid(fp, _mod_p(a, p), mu_p)
+            g, _ = dense_euclid(fp, _mod_p(a, p), mu_p)
             if len(g) > 1:
-                h, _ = _field_divmod(fp, mu_p, g)
+                h, _ = dense_divmod(fp, mu_p, g)
                 return self.normalize(tuple(self.base.n // p * c for c in h))
         return None
 
@@ -1329,20 +1217,13 @@ class QuotientRing(Ring):
         return ()
 
     def _one(self):
-        return self.polyring._one() if len(self.modulus) > 1 else ()
+        return self.polyring._one()
 
     def _from_int(self, n):
-        c = self.base._from_int(n)
-        return () if c == self.base._zero() else (c,)
+        return self.polyring._from_int(n)
 
     def _text(self, a):
-        base = self.base
-        terms = [
-            (e, *_signed_coeff(base, c))
-            for e, c in enumerate(a)
-            if c != base._zero()
-        ]
-        return _fmt_terms(terms, self.polyring.var)
+        return self.polyring._text(a)
 
     def descriptor(self):
         return ("quot", self.polyring.descriptor(), self.modulus)
@@ -1363,16 +1244,13 @@ class QuotientRing(Ring):
         d = len(self.modulus) - 1
         base_payloads = list(self.base.payloads())
         n = len(base_payloads)
-        z = self.base._zero()
         for idx in range(self.cardinality):
             cs = []
             v = idx
             for _ in range(d):
                 cs.append(base_payloads[v % n])
                 v //= n
-            while cs and cs[-1] == z:
-                cs.pop()
-            yield tuple(cs)
+            yield dense_strip(self.base, cs)
 
     def random_element(self, rng):
         d = len(self.modulus) - 1

@@ -14,7 +14,7 @@ path.  sigma(f) is a Taylor shift of f's coefficients by h followed by
 scaling coefficient i by q^i, O(d^2) base operations.  ``twisted_power``
 splits by f^(a+b) = f^(a) * sigma^a(f^(b)) with
 sigma^a(x) = q^a*x + (a)_q*h, so it makes O(log n) shifts and products
-(``zpoly.mul`` over Z, a schoolbook loop on the base payloads otherwise)
+(``rings.dense_mul``, which hands Z coefficients to ``zpoly.mul``)
 instead of n.  Multivariate and non-affine algebras substitute term by term
 and apply the inductive rule.
 
@@ -25,11 +25,10 @@ polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import ntheory, zpoly
+from . import ntheory
 from .errors import (
     BasisUnavailableError,
     DomainError,
@@ -39,7 +38,7 @@ from .errors import (
     UnsupportedError,
 )
 from .qnum import QContext, _matrix_power, q_binomial, q_state
-from .rings import IntegerRing, Ring, RingElement, dense_mul, dense_strip
+from .rings import Ring, RingElement, _fmt_terms, _power, _signed_coeff, dense_mul, dense_strip, sparse_add
 
 
 class TwistedAlgebra(Ring):
@@ -246,14 +245,7 @@ class TwistedAlgebra(Ring):
         return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
 
     def _add(self, a, b):
-        acc = dict(a)
-        z = self.base._zero()
-        for exps, c in b:
-            if exps in acc:
-                acc[exps] = self.base._add(acc[exps], c)
-            else:
-                acc[exps] = c
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_add(self.base, a, b)
 
     def _neg(self, a):
         neg = self.base._neg
@@ -298,35 +290,11 @@ class TwistedAlgebra(Ring):
         return (((0,) * len(self.gens), c),)
 
     def _text(self, a):
-        base = self.base
         terms = sorted(a, key=lambda ec: (sum(ec[0]), ec[0]))
-        parts = []
-        for exps, c in terms:
-            vars_txt = "*".join(
-                g if e == 1 else f"{g}^{e}"
-                for g, e in zip(self.gens, exps)
-                if e
-            )
-            cs = base._text(c)
-            if cs.startswith("-"):
-                neg, mag = True, base._text(base._neg(c))
-            else:
-                neg, mag = False, cs
-            if "+" in mag or "-" in mag:
-                mag = f"({mag})"
-            if not vars_txt:
-                body = mag
-            elif mag == "1":
-                body = vars_txt
-            else:
-                body = f"{mag}*{vars_txt}"
-            parts.append((neg, body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _fmt_terms(
+            ("*".join(_power(g, e) for g, e in zip(self.gens, exps) if e), *_signed_coeff(self.base, c))
+            for exps, c in terms
+        )
 
     def descriptor(self):
         # sigma is part of the algebra: the same generators under another
@@ -335,7 +303,12 @@ class TwistedAlgebra(Ring):
         return ("mpoly", self.base.descriptor(), self.gens, tuple(images[g].payload for g in self.gens))
 
     def _name(self):
-        return f"{self.base}[{','.join(self.gens)}]"
+        # name sigma unless it is the identity, so that algebras which
+        # differ only in sigma print differently
+        images = self.sigma_images
+        moved = [f"sigma({g}) = {images[g]}" for g in self.gens if images[g] != self.gen(g)]
+        name = f"{self.base}[{','.join(self.gens)}]"
+        return f"{name} with {', '.join(moved)}" if moved else name
 
     def atoms(self):
         table = {name: self.gen(name).payload for name in self.gens}
@@ -359,7 +332,7 @@ def twisted_power(alg: TwistedAlgebra, f: RingElement, n: int, sigma_power: int 
     For an affine sigma(x) = q*x + h on a univariate algebra this splits in
     two, f^(a+b) = f^(a) * s^a(f^(b)), with s^a(x) = q^m*x + (m)_q*h for
     m = sigma_power * a: walking the bits of n takes O(log n) shifts and
-    products of dense coefficient tuples (``zpoly.mul`` over Z).  Any other
+    products of dense coefficient tuples (``rings.dense_mul``).  Any other
     sigma uses the inductive rule.
     """
     if n < 0:
@@ -375,14 +348,14 @@ def twisted_power(alg: TwistedAlgebra, f: RingElement, n: int, sigma_power: int 
         raise RingMismatchError(f"elements of {alg} and {f.ring} cannot be combined")
     if sigma_power < 0:
         raise DomainError("sigma iteration count must be >= 0")
-    mul = zpoly.mul if type(alg.base) is IntegerRing else functools.partial(dense_mul, alg.base)
+    base = alg.base
     first = alg._to_dense(f.payload)
     acc, k = first, 1  # acc = f^(k)
     for bit in bin(n)[3:]:
-        acc = mul(acc, alg._sigma_dense(acc, sigma_power * k))
+        acc = dense_mul(base, acc, alg._sigma_dense(acc, sigma_power * k))
         k *= 2
         if bit == "1":
-            acc = mul(acc, alg._sigma_dense(first, sigma_power * k))
+            acc = dense_mul(base, acc, alg._sigma_dense(first, sigma_power * k))
             k += 1
     return RingElement(alg, alg._from_dense(acc))
 

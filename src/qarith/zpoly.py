@@ -1,11 +1,14 @@
 """Dense integer polynomials: the one kernel behind Z[t], Cyclo(n) and Q(t).
 
 A polynomial is a tuple of ints, constant term first, with no trailing zeros
-(``strip`` makes one from any sequence).  ``PolynomialRing`` over Z delegates
-its addition and multiplication here, ``CyclotomicRing`` multiplies with
+(``strip`` makes one from any sequence).  ``rings.dense_add`` and
+``rings.dense_mul`` hand polynomials over an exact ``IntegerRing`` base here,
+so ``PolynomialRing`` over Z and the dense twisted powers over Z add and
+multiply with ``add`` and ``mul``.  ``CyclotomicRing`` multiplies with
 ``mul`` and reduces with ``reduce_cyclotomic``, ``RationalFunctionField``
 (Q(t) and Q(t^(1/L))) keeps numerators and denominators as these tuples, and
 the ``cyclotomic_poly`` table is built with ``mul`` and ``divexact``.
+``qdivmod`` (Fraction coefficients) is only the Euclid step of ``gcd``.
 
 ``mul`` picks its method from the factor with fewer nonzero terms:
 

@@ -196,26 +196,6 @@ def test_fraction_field_denominator_sign():
     assert den[-1] > 0
 
 
-def test_puiseux_polynomial_ring():
-    from fractions import Fraction
-
-    from qarith import PuiseuxRing
-
-    ring = PuiseuxRing(6)
-    t = ring.generator
-    s = t ** Fraction(1, 6)
-    assert str(s) == "t^(1/6)"
-    assert s**6 == t
-    assert str(s**3 + ring.one) == "1 + t^(1/2)"
-    assert ring.is_domain and not ring.finite
-    rng = random.Random(5)
-    for _ in range(20):
-        a, b = ring.random_element(rng), ring.random_element(rng)
-        assert a * b == b * a
-    with pytest.raises(DomainError):
-        t ** Fraction(1, 7)  # 1/7 is not on the (1/6) grid
-
-
 def test_element_hash_consistency():
     z5 = ModularRing(5)
     assert len({z5.from_int(7), z5.from_int(2)}) == 1
@@ -239,3 +219,32 @@ def test_internal_checks_survive_optimize_flag():
     proc = run_python("-O", "-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised"
+
+
+def _cyclotomic_test_elements(ring, rng):
+    """±t^j, 1 + t^j for 0 <= j < n, and seeded random elements of Cyclo(n)."""
+    t = ring.generator
+    powers = [t**j for j in range(ring.p)]
+    out = powers + [-x for x in powers] + [1 + x for x in powers]
+    d = len(ring.modulus) - 1
+    out += [ring.element(tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(8)]
+    return out
+
+
+def test_cyclotomic_units_match_resultant():
+    # a is a unit of Z[t]/chi_n exactly when its norm Res(a, chi_n) is +-1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(8)
+    for n in range(2, 31):
+        ring = CyclotomicRing(n)
+        chi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        for a in _cyclotomic_test_elements(ring, rng):
+            inv = a.try_invert()
+            if a.is_zero():
+                assert inv is None
+                continue
+            norm = sympy.resultant(sympy.Poly(list(reversed(a.payload)), x), chi)
+            assert (inv is not None) == (abs(norm) == 1), (n, a, norm)
+            if inv is not None:
+                assert a * inv == ring.one and inv * a == ring.one, (n, a)

@@ -395,3 +395,18 @@ def test_sigma_is_part_of_the_algebra():
         falling.gen("x") + dilation.gen("x")
     # an unset sigma is the identity, and equals an explicit one
     assert TwistedAlgebra(ZZ, ("x",)) == TwistedAlgebra.univariate_affine(ZZ, 1, 0)
+
+
+def test_algebra_name_shows_sigma():
+    falling = TwistedAlgebra.univariate_affine(ZZ, 1, -1)
+    dilation = TwistedAlgebra.univariate_affine(ZZ, 2, 0)
+    assert str(falling) == "Z[x] with sigma(x) = -1 + x"
+    assert str(dilation) == "Z[x] with sigma(x) = 2*x"
+    assert str(TwistedAlgebra(ZZ, ("x", "y"))) == "Z[x,y]"
+    assert str(TwistedAlgebra.univariate_affine(ZZ, 1, 0)) == "Z[x]"
+    assert str(TwistedAlgebra.diagonal(ZZ, {"x": 3, "y": 1})) == "Z[x,y] with sigma(x) = 3*x"
+    with pytest.raises(RingMismatchError) as err:
+        twisted_power(falling, dilation.gen("x"), 3)
+    assert str(err.value) == (
+        "elements of Z[x] with sigma(x) = -1 + x and Z[x] with sigma(x) = 2*x cannot be combined"
+    )
