@@ -17,21 +17,13 @@ import functools
 import math
 import operator
 
-from . import zpoly
+from . import ntheory, zpoly
 from .errors import DomainError
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return ntheory.divisors(ntheory.factorize(n))
 
 
 @functools.lru_cache(maxsize=None)

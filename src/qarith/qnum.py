@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ntheory
-from .cyclotomic import eval_cyclotomic, gaussian_coefficients, product_tree
+from .cyclotomic import eval_cyclotomic, eval_poly, gaussian_coefficients, product_tree
 from .errors import (
     DomainError,
     InternalError,
@@ -480,10 +480,7 @@ class CyclotomicEmbedding:
     def __call__(self, elt: RingElement) -> RingElement:
         if elt.ring != self.source:
             raise RingMismatchError("element does not belong to the embedding source")
-        acc = self.target.zero
-        for c in reversed(elt.payload):
-            acc = acc * self.q + self.target.from_int(c)
-        return acc
+        return eval_poly(elt.payload, self.q)
 
 
 @dataclass(frozen=True)

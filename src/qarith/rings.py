@@ -27,8 +27,11 @@ coefficient), ``dense_euclid`` (extended Euclid over a field) and
 integer kernel ``zpoly``, which ``Cyclo(p)`` (``zpoly.mul`` and
 ``zpoly.reduce_cyclotomic``) and ``Q(t)`` (numerators and denominators) use
 directly; see ``zpoly`` for how it multiplies.  The sparse
-(exponent, coefficient) payloads of ``Z[t,1/t]`` and ``TwistedAlgebra`` add
-with ``sparse_add``.
+(exponent, coefficient) payloads of ``Z[t,1/t]`` and ``TwistedAlgebra`` use
+``sparse_normalize``, ``sparse_add``, ``sparse_neg`` and ``sparse_mul``,
+which differ between the two only in how exponents are checked and added.
+``normalize`` takes integer entries (and sparse exponents) with ``as_int``,
+so 1.5 or Fraction(7, 2) raises DomainError rather than being truncated.
 
 Elements are immutable; all operations are pure and safe to share across
 threads.  Arithmetic on elements of different rings raises RingMismatchError.
@@ -37,6 +40,7 @@ threads.  Arithmetic on elements of different rings raises RingMismatchError.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import ntheory, zpoly
@@ -48,6 +52,14 @@ from .errors import (
     RingMismatchError,
     UnsupportedError,
 )
+
+def as_int(x):
+    """x as an int, for ints and other integer types; DomainError otherwise."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{x!r} is not an integer") from None
+
 
 def _qalg_torsion_bound(n):
     """Largest possible order of a root of unity in a Q-algebra of dimension n.
@@ -316,7 +328,7 @@ class IntegerRing(Ring):
     torsion_free = True
 
     def normalize(self, payload):
-        return int(payload)
+        return as_int(payload)
 
     def _add(self, a, b):
         return a + b
@@ -422,7 +434,7 @@ class ModularRing(Ring):
         self._lambda = None
 
     def normalize(self, payload):
-        return int(payload) % self.n
+        return as_int(payload) % self.n
 
     def _add(self, a, b):
         s = a + b
@@ -435,10 +447,7 @@ class ModularRing(Ring):
         return a * b % self.n
 
     def _invert(self, a):
-        g, x, _ = _xgcd(a, self.n)
-        if g != 1:
-            return None
-        return x % self.n
+        return pow(a, -1, self.n) if math.gcd(a, self.n) == 1 else None
 
     def _annihilator(self, a):
         g = math.gcd(a, self.n)
@@ -498,16 +507,6 @@ def _memo(ring, attr, compute):
     return value
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 class GaussianRing(Ring):
     """Gaussian integers Z[i] as pairs (a, b) = a + b*i."""
 
@@ -516,7 +515,7 @@ class GaussianRing(Ring):
 
     def normalize(self, payload):
         a, b = payload
-        return (int(a), int(b))
+        return (as_int(a), as_int(b))
 
     def _add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -718,14 +717,51 @@ def dense_scale(base, cs, c):
     return tuple(mul(d, inv) for d in cs)
 
 
-def sparse_add(base, a, b):
-    """a + b for sorted (exponent, coefficient) tuples with nonzero coefficients."""
-    acc = dict(a)
-    z = base._zero()
+# ---------------------------------------------------------------------------
+# sparse polynomials: tuples of (exponent, coefficient) sorted by exponent,
+# no repeated exponent, no zero coefficient
+# ---------------------------------------------------------------------------
+
+
+def _sparse_sum(base, acc, terms):
+    """Add the (exponent, coefficient) terms into the dict acc and return its
+    nonzero entries as a tuple sorted by exponent."""
     add = base._add
-    for e, c in b:
+    for e, c in terms:
         acc[e] = add(acc[e], c) if e in acc else c
+    z = base._zero()
     return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+
+
+def sparse_normalize(base, payload, exponent):
+    """Normal form of any iterable of (exponent, coefficient) pairs;
+    exponent(e) checks and converts each exponent."""
+    norm = base.normalize
+    return _sparse_sum(base, {}, ((exponent(e), norm(c)) for e, c in payload))
+
+
+def sparse_add(base, a, b):
+    """a + b."""
+    return _sparse_sum(base, dict(a), b)
+
+
+def sparse_neg(base, a):
+    """-a; negation keeps coefficients nonzero and exponents sorted."""
+    neg = base._neg
+    return tuple((e, neg(c)) for e, c in a)
+
+
+def sparse_mul(base, a, b, add_exps):
+    """a * b over a commutative base; add_exps(e1, e2) is the exponent of
+    the product of two monomials."""
+    acc = {}
+    mul, add = base._mul, base._add
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = add_exps(e1, e2)
+            p = mul(c1, c2)
+            acc[e] = add(acc[e], p) if e in acc else p
+    return _sparse_sum(base, acc, ())
 
 
 class PolynomialRing(Ring):
@@ -819,35 +855,16 @@ class LaurentRing(Ring):
         self.characteristic = base.characteristic
 
     def normalize(self, payload):
-        acc = {}
-        z = self.base._zero()
-        for e, c in payload:
-            c = self.base.normalize(c)
-            if e in acc:
-                c = self.base._add(acc[e], c)
-            acc[e] = c
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_normalize(self.base, payload, as_int)
 
     def _add(self, a, b):
         return sparse_add(self.base, a, b)
 
     def _neg(self, a):
-        neg = self.base._neg
-        return tuple((e, neg(c)) for e, c in a)
+        return sparse_neg(self.base, a)
 
     def _mul(self, a, b):
-        acc = {}
-        z = self.base._zero()
-        mul, add = self.base._mul, self.base._add
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                p = mul(c1, c2)
-                if e in acc:
-                    acc[e] = add(acc[e], p)
-                else:
-                    acc[e] = p
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_mul(self.base, a, b, operator.add)
 
     def _invert(self, a):
         if len(a) != 1:
@@ -938,7 +955,7 @@ class RationalFunctionField(Ring):
             num, den = payload
         else:
             num, den = payload, (1,)
-        return self._norm(tuple(int(c) for c in num), tuple(int(c) for c in den))
+        return self._norm(tuple(map(as_int, num)), tuple(map(as_int, den)))
 
     def _add(self, x, y):
         n1, d1 = x
@@ -1050,7 +1067,7 @@ class CyclotomicRing(Ring):
         return zpoly.reduce_cyclotomic(cs, self.p, self.modulus)
 
     def normalize(self, payload):
-        return self._reduce([int(c) for c in payload])
+        return self._reduce([as_int(c) for c in payload])
 
     def _add(self, a, b):
         return zpoly.add(a, b)

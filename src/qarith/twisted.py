@@ -25,6 +25,7 @@ polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,10 @@ from .errors import (
     UnsupportedError,
 )
 from .qnum import QContext, _matrix_power, q_binomial, q_state
-from .rings import Ring, RingElement, _fmt_terms, _power, _signed_coeff, dense_mul, dense_strip, sparse_add
+from .rings import (
+    Ring, RingElement, _fmt_terms, _power, _signed_coeff, as_int, dense_mul, dense_strip,
+    sparse_add, sparse_mul, sparse_neg, sparse_normalize,
+)
 
 
 class TwistedAlgebra(Ring):
@@ -231,39 +235,22 @@ class TwistedAlgebra(Ring):
     # --- ring payload protocol ---
 
     def normalize(self, payload):
-        acc = {}
-        z = self.base._zero()
-        g = len(self.gens)
-        for exps, c in payload:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != g or any(e < 0 for e in exps):
-                raise DomainError("bad exponent vector")
-            c = self.base.normalize(c)
-            if exps in acc:
-                c = self.base._add(acc[exps], c)
-            acc[exps] = c
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_normalize(self.base, payload, self._exponents)
+
+    def _exponents(self, exps):
+        exps = tuple(map(as_int, exps))
+        if len(exps) != len(self.gens) or any(e < 0 for e in exps):
+            raise DomainError("bad exponent vector")
+        return exps
 
     def _add(self, a, b):
         return sparse_add(self.base, a, b)
 
     def _neg(self, a):
-        neg = self.base._neg
-        return tuple((e, neg(c)) for e, c in a)
+        return sparse_neg(self.base, a)
 
     def _mul(self, a, b):
-        acc = {}
-        z = self.base._zero()
-        mul, add = self.base._mul, self.base._add
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                p = mul(c1, c2)
-                if e in acc:
-                    acc[e] = add(acc[e], p)
-                else:
-                    acc[e] = p
-        return tuple((e, c) for e, c in sorted(acc.items()) if c != z)
+        return sparse_mul(self.base, a, b, _add_exps)
 
     def _invert(self, a):
         if len(a) != 1 or any(a[0][0]):
@@ -324,6 +311,10 @@ class TwistedAlgebra(Ring):
             exps = tuple(rng.randint(0, 2) for _ in self.gens)
             pairs.append((exps, self.base.random_element(rng).payload))
         return self.element(tuple(pairs))
+
+
+def _add_exps(e1, e2):
+    return tuple(map(operator.add, e1, e2))
 
 
 def twisted_power(alg: TwistedAlgebra, f: RingElement, n: int, sigma_power: int = 1) -> RingElement:
@@ -431,14 +422,7 @@ def twisted_binomial_check(alg: TwistedAlgebra, x: RingElement, y: RingElement, 
         )
     if lhs == rhs:
         return TwistedBinomialReport(True, lhs, rhs)
-    diff = dict(lhs.payload)
-    for exps, c in rhs.payload:
-        l = diff.get(exps, alg.base._zero())
-        if l == c:
-            diff.pop(exps, None)
-        else:
-            diff[exps] = l
-    exps = sorted(diff)[0]
+    exps = (lhs - rhs).payload[0][0]  # the least exponent where they differ
     lcoeff = dict(lhs.payload).get(exps, alg.base._zero())
     rcoeff = dict(rhs.payload).get(exps, alg.base._zero())
     return TwistedBinomialReport(

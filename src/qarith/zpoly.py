@@ -8,7 +8,9 @@ multiply with ``add`` and ``mul``.  ``CyclotomicRing`` multiplies with
 ``mul`` and reduces with ``reduce_cyclotomic``, ``RationalFunctionField``
 (Q(t) and Q(t^(1/L))) keeps numerators and denominators as these tuples, and
 the ``cyclotomic_poly`` table is built with ``mul`` and ``divexact``.
-``qdivmod`` (Fraction coefficients) is only the Euclid step of ``gcd``.
+``gcd`` runs the primitive polynomial remainder sequence (Knuth, TAOCP
+vol. 2, 4.6.1): pseudo-remainders, each made primitive, so every step stays
+in Z[t].
 
 ``mul`` picks its method from the factor with fewer nonzero terms:
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .errors import InternalError
 
@@ -182,26 +183,6 @@ def mul(a, b):
 # ---------------------------------------------------------------------------
 
 
-def qdivmod(a, b):
-    """divmod over Q for Fraction coefficient lists; b nonzero (the Euclid step of gcd)."""
-    r = [Fraction(c) for c in a]
-    while r and r[-1] == 0:
-        r.pop()
-    db = len(b) - 1
-    inv = Fraction(1) / b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        c = r[-1] * inv
-        k = len(r) - 1 - db
-        q[k] = c
-        for j, d in enumerate(b):
-            r[k + j] -= c * d
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
-
-
 def divexact(a, b):
     """Exact quotient a / b in Z[t]; raises InternalError when b does not divide a."""
     a, b = strip(a), strip(b)
@@ -251,16 +232,28 @@ def gcd(a, b):
     if mb is not None:
         d = min(mb[0], val(a))
         return (0,) * d + (1,)
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        _, fr = qdivmod(fa, fb)
-        fa, fb = fb, fr
-    lcm_den = 1
-    for c in fa:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in fa]
-    return prim(ints)[1]
+    a, b = prim(a)[1], prim(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, prim(_prem(a, b))[1]
+    return a
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b, possibly with trailing zeros: the
+    remainder is multiplied by lc(b) before each elimination step, so no
+    division is needed."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            r = [x * lb for x in r]
+            for j, d in zip(range(len(r) - db, len(r)), b):
+                r[j] -= c * d
+    return r
 
 
 def reduce_cyclotomic(cs, n, chi):

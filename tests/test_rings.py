@@ -1,6 +1,7 @@
 """Ring tower: normal forms, units, enumeration, zero divisors, algebra laws."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from qarith import (
     QuotientRing,
     RationalFunctionField,
     RingMismatchError,
+    TwistedAlgebra,
     UnsupportedError,
     DomainError,
     enumerate_ring,
@@ -248,3 +250,33 @@ def test_cyclotomic_units_match_resultant():
             assert (inv is not None) == (abs(norm) == 1), (n, a, norm)
             if inv is not None:
                 assert a * inv == ring.one and inv * a == ring.one, (n, a)
+
+
+@pytest.mark.parametrize(
+    "ring, payload",
+    [
+        (ZZ, 1.5),
+        (ZZ, Fraction(7, 2)),
+        (ZZ, "3"),
+        (ModularRing(7), 2.5),
+        (ZI, (1.5, 0)),
+        (CyclotomicRing(5), (0.5, 1)),
+        (RationalFunctionField("t"), ((1.5,), (2,))),
+        (RationalFunctionField("t"), ((1,), (Fraction(1, 2),))),
+        (LaurentRing(ZZ), ((1.5, 1),)),
+        (LaurentRing(ZZ), ((1, 0.5),)),
+        (TwistedAlgebra(ZZ, ("x",)), (((1.5,), 1),)),
+        (PolynomialRing(ZZ), (1, 2.5)),
+    ],
+)
+def test_non_integer_payloads_are_refused(ring, payload):
+    # never truncated to a nearby integer
+    with pytest.raises(DomainError, match="not an integer"):
+        ring.element(payload)
+
+
+def test_integer_payloads_are_accepted():
+    assert ZZ.element(True) == ZZ.one
+    assert ModularRing(7).element(-1) == ModularRing(7).from_int(6)
+    assert LaurentRing(ZZ).element(((-2, 3), (-2, -3), (1, 1))).payload == ((1, 1),)
+    assert TwistedAlgebra(ZZ, ("x",)).element((((2,), 1),)).payload == (((2,), 1),)

@@ -159,6 +159,23 @@ def test_twisted_binomial_small():
         assert twisted_binomial_check(alg, x, y, n).equal
 
 
+def test_twisted_binomial_mismatch_names_least_exponent(monkeypatch):
+    import qarith.twisted as tw
+
+    zq = PolynomialRing(ZZ, "q")
+    alg = TwistedAlgebra(zq, ("x", "y"))
+    alg.set_sigma({"x": alg.scalar(zq.generator) * alg.gen("x")})
+    x, y = alg.gen("x"), alg.gen("y")
+    true_binomial = tw.q_binomial
+    # a wrong [2, k]_q for k = 0 and k = 2 puts differences at y^2 and x^2
+    monkeypatch.setattr(tw, "q_binomial", lambda ctx, n, k: true_binomial(ctx, n, k) + (k != 1))
+    report = twisted_binomial_check(alg, x, y, 2)
+    assert not report.equal
+    exps, lhs, rhs = report.mismatch
+    assert exps == (0, 2)
+    assert (lhs, rhs) == (zq.one, zq.from_int(2))
+
+
 def test_twisted_binomial_eigenvector_errors():
     zq = PolynomialRing(ZZ, "q")
     alg = TwistedAlgebra(zq, ("x", "y"))

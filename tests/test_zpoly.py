@@ -1,5 +1,6 @@
 """Integer-polynomial kernel: differential tests against plain schoolbook oracles."""
 
+import math
 import random
 
 import pytest
@@ -149,3 +150,103 @@ def test_cyclotomic_poly_matches_sympy():
     for n in range(1, 61):
         expected = tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()))
         assert cyclotomic_poly(n) == expected, n
+
+
+# ---------------------------------------------------------------------------
+# gcd and Q(t) normal forms against sympy
+# ---------------------------------------------------------------------------
+
+small_polys = st.lists(st.integers(-20, 20), max_size=6).map(_strip)
+
+
+def _to_sympy(cs, x):
+    return sum(c * x**i for i, c in enumerate(cs))
+
+
+def _coeffs_of(expr, x):
+    """Rational coefficients of a sympy polynomial, constant first."""
+    sympy = pytest.importorskip("sympy")
+    return [sympy.Rational(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
+
+
+def _sympy_primitive(cs):
+    """cs divided by the gcd of its entries, with a positive leading coefficient."""
+    g = 0
+    for c in cs:
+        g = math.gcd(g, int(c))
+    if cs[-1] < 0:
+        g = -g
+    return tuple(int(c) // g for c in cs)
+
+
+def _sympy_normal_form(expr, x):
+    """(num, den) of a sympy rational function in Q(t)'s normal form: integer
+    coefficients whose gcd over num and den together is 1, den with positive
+    leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if num == 0:
+        return (), (1,)
+    ns, ds = _coeffs_of(num, x), _coeffs_of(den, x)
+    lcm = 1
+    for c in ns + ds:
+        lcm = math.lcm(lcm, int(c.q))
+    ns = [int(c * lcm) for c in ns]
+    ds = [int(c * lcm) for c in ds]
+    g = 0
+    for c in ns + ds:
+        g = math.gcd(g, c)
+    if ds[-1] < 0:
+        g = -g
+    return _strip(c // g for c in ns), _strip(c // g for c in ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys.filter(bool), small_polys, small_polys)
+def test_gcd_matches_sympy(g, u, v):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b = zpoly.mul(g, u), zpoly.mul(g, v)
+    if not a and not b:
+        return
+    expected = _sympy_primitive(_coeffs_of(sympy.gcd(_to_sympy(a, x), _to_sympy(b, x)), x))
+    assert zpoly.gcd(a, b) == expected
+    assert zpoly.gcd(b, a) == expected
+
+
+def test_gcd_non_monic_remainder_sequence():
+    # non-monic inputs whose contents are not 1, so a remainder sequence
+    # must both scale by lc(b) and take primitive parts to reach g
+    g = (1, 2, 3)
+    a = zpoly.mul(g, (5, 0, 2, 7))
+    b = zpoly.mul(g, (-4, 3))
+    assert zpoly.gcd(a, b) == g
+    assert zpoly.gcd(zpoly.scale(a, 6), zpoly.scale(b, -10)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys, small_polys.filter(bool), small_polys.filter(bool))
+def test_rational_function_normal_form_matches_sympy_cancel(num, den, g):
+    sympy = pytest.importorskip("sympy")
+    from qarith import RationalFunctionField
+
+    x = sympy.Symbol("x")
+    num, den = zpoly.mul(num, g), zpoly.mul(den, g)
+    got = RationalFunctionField("t").element((num, den)).payload
+    assert got == _sympy_normal_form(_to_sympy(num, x) / _to_sympy(den, x), x)
+
+
+def test_q_binomial_over_rational_functions_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from qarith import QContext, RationalFunctionField, q_binomial
+
+    x = sympy.Symbol("x")
+    field = RationalFunctionField("t")
+    ctx = QContext(field, field.element(((1, 1), (-1, 1))))
+    q = (x + 1) / (x - 1)
+    for n in range(11):
+        for k in range(n + 1):
+            expected = sympy.Integer(1)
+            for i in range(1, k + 1):
+                expected *= (1 - q ** (n - k + i)) / (1 - q**i)
+            assert q_binomial(ctx, n, k).payload == _sympy_normal_form(expected, x), (n, k)
