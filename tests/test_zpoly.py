@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import InternalError, cyclotomic_poly, zpoly
+from qarith import InternalError, QContext, RationalFunctionField, cyclotomic_poly, q_binomial, zpoly
 
 
 def _strip(cs):
@@ -165,11 +165,12 @@ def _to_sympy(cs, x):
 
 def _coeffs_of(expr, x):
     """Rational coefficients of a sympy polynomial, constant first."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
+
     return [sympy.Rational(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())]
 
 
-def _sympy_primitive(cs):
+def _primitive_part(cs):
     """cs divided by the gcd of its entries, with a positive leading coefficient."""
     g = 0
     for c in cs:
@@ -183,7 +184,8 @@ def _sympy_normal_form(expr, x):
     """(num, den) of a sympy rational function in Q(t)'s normal form: integer
     coefficients whose gcd over num and den together is 1, den with positive
     leading coefficient."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
+
     num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
     if num == 0:
         return (), (1,)
@@ -209,7 +211,7 @@ def test_gcd_matches_sympy(g, u, v):
     a, b = zpoly.mul(g, u), zpoly.mul(g, v)
     if not a and not b:
         return
-    expected = _sympy_primitive(_coeffs_of(sympy.gcd(_to_sympy(a, x), _to_sympy(b, x)), x))
+    expected = _primitive_part(_coeffs_of(sympy.gcd(_to_sympy(a, x), _to_sympy(b, x)), x))
     assert zpoly.gcd(a, b) == expected
     assert zpoly.gcd(b, a) == expected
 
@@ -228,8 +230,6 @@ def test_gcd_non_monic_remainder_sequence():
 @given(small_polys, small_polys.filter(bool), small_polys.filter(bool))
 def test_rational_function_normal_form_matches_sympy_cancel(num, den, g):
     sympy = pytest.importorskip("sympy")
-    from qarith import RationalFunctionField
-
     x = sympy.Symbol("x")
     num, den = zpoly.mul(num, g), zpoly.mul(den, g)
     got = RationalFunctionField("t").element((num, den)).payload
@@ -238,8 +238,6 @@ def test_rational_function_normal_form_matches_sympy_cancel(num, den, g):
 
 def test_q_binomial_over_rational_functions_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    from qarith import QContext, RationalFunctionField, q_binomial
-
     x = sympy.Symbol("x")
     field = RationalFunctionField("t")
     ctx = QContext(field, field.element(((1, 1), (-1, 1))))
