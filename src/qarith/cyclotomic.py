@@ -18,7 +18,7 @@ import math
 import operator
 
 from . import ntheory, zpoly
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 
 def divisors(n: int) -> list[int]:
@@ -114,16 +114,30 @@ def product_tree(xs, mul, one):
     return xs[0]
 
 
+def _fold(x, modulus, bits):
+    """A value in [0, modulus] congruent to x >= 0 modulo modulus = 2^bits - 1.
+
+    2^bits = 1 modulo 2^bits - 1, so adding the bits-bit digits of x keeps
+    its residue; each round shrinks x until it is at most the modulus.
+    """
+    while x > modulus:
+        x = (x & modulus) + (x >> bits)
+    return x
+
+
 def gaussian_coefficients(n, k, fold=None):
     """Coefficients of the q-binomial [n, k]_t in Z[t], constant term first;
     with ``fold`` = m, those of its residue modulo t^m - 1 (length <= m).
 
     The chi_d of ``factor_q_binomial(n, k)`` are packed at t = B = 2^w
-    (``zpoly._pack``) and multiplied as integers, modulo B^m - 1 after every
-    product when folding, since t^m - 1 maps to B^m - 1.  The coefficients
-    of [n, k]_t, and of its fold, are >= 0 and sum to C(n, k) < B, so the
-    base-B digits of the product are exactly those coefficients, and the
-    folded value lies below B^m - 1, where the reduction leaves it unchanged.
+    (``zpoly._pack``) and multiplied as integers.  When folding, t^m - 1
+    maps to M = B^m - 1 = 2^(w*m) - 1, and every factor and product is
+    reduced by ``_fold``, which adds its (w*m)-bit digits instead of
+    dividing by M.  The coefficients of [n, k]_t, and of its fold, are >= 0
+    and sum to C(n, k) < B, so the base-B digits of the product are exactly
+    those coefficients, and the folded value lies in [1, M).  ``_fold``
+    leaves a value in [0, M] with that residue, which is therefore the
+    folded value itself; a result of M or more raises InternalError.
     """
     nbytes = (math.comb(n, k).bit_length() + 7) // 8  # 2^(8*nbytes) > C(n, k)
     packed = [zpoly._pack(cyclotomic_poly(d), nbytes) for d in factor_q_binomial(n, k)]
@@ -131,8 +145,15 @@ def gaussian_coefficients(n, k, fold=None):
         value = product_tree(packed, operator.mul, 1)
         size = k * (n - k) + 1
     else:
-        modulus = (1 << (8 * nbytes * fold)) - 1
-        value = product_tree([x % modulus for x in packed], lambda a, b: a * b % modulus, 1)
+        bits = 8 * nbytes * fold
+        modulus = (1 << bits) - 1
+        value = product_tree(
+            [_fold(x, modulus, bits) for x in packed],
+            lambda a, b: _fold(a * b, modulus, bits),
+            1,
+        )
+        if value >= modulus:
+            raise InternalError("folded q-binomial is not below B^m - 1")
         size = fold
     data = value.to_bytes(nbytes * size, "little")
     return zpoly.strip([int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)])

@@ -10,7 +10,8 @@ equality is ring equality and every operation returns a normalized result:
 * ``R[x]``         -- tuple of base payloads, constant first, no trailing zeros
 * ``Z[t,1/t]``     -- sorted tuple of (exponent, coefficient), coefficients nonzero
 * ``Q(t)``         -- pair (num, den) of integer polynomial tuples; num/den coprime,
-                      contents coprime, den has positive leading coefficient
+                      contents coprime, den has positive leading coefficient;
+                      ``normalize`` runs a full gcd, arithmetic follows Henrici
 * ``Cyclo(p)``     -- integer residue vector of degree < deg chi_p
 * ``B[x]/(mu)``    -- residue vector of degree < deg mu (mu needs a unit leading
                       coefficient so remainder division is defined over B = Z/n or Q)
@@ -912,11 +913,35 @@ class LaurentRing(Ring):
         return self.base.root_of_unity_order_bound()
 
 
+def _cancel_content(num, den):
+    """num/den with the gcd of the two integer contents divided out."""
+    c = math.gcd(*num, *den)
+    if c == 1:
+        return (num, den)
+    return (tuple(x // c for x in num), tuple(x // c for x in den))
+
+
 class RationalFunctionField(Ring):
     """Q(t), or Q(t^(1/L)) carried as rational functions in s = t^(1/L).
 
     Payload (num, den): integer polynomial tuples in s with gcd(num, den) = 1,
     coprime contents, and positive leading coefficient in den.
+
+    Only ``normalize`` (outside payloads) runs the full ``_norm``: both
+    primitive parts, their gcd and the gcd of the contents.  Arithmetic on
+    two normal forms follows Henrici (Knuth, TAOCP vol. 2, 4.5.1) and takes
+    a ``zpoly.gcd`` only where a factor can cancel:
+
+    * ``_mul``: none when both denominators are 1; otherwise gcd(n1, d2) and
+      gcd(n2, d1), divided out before multiplying;
+    * ``_add``: none when a denominator is 1, since a factor common to
+      n1*d2 + n2 and d2 would divide n2; otherwise g = gcd(d1, d2) and,
+      when g != 1, h = gcd(n1*(d2/g) + n2*(d1/g), g), since the numerator is
+      prime to d1/g and d2/g;
+    * ``_invert``: none; it swaps num and den and moves the sign.
+
+    ``zpoly.gcd`` is primitive, so ``_mul`` and ``_add`` finish by dividing
+    out the gcd of the two integer contents (``_cancel_content``).
     """
 
     is_domain = True
@@ -960,9 +985,22 @@ class RationalFunctionField(Ring):
     def _add(self, x, y):
         n1, d1 = x
         n2, d2 = y
-        if d1 == d2:
-            return self._norm(zpoly.add(n1, n2), d1)
-        return self._norm(zpoly.add(zpoly.mul(n1, d2), zpoly.mul(n2, d1)), zpoly.mul(d1, d2))
+        if d2 == (1,):
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        if d1 == (1,):
+            # a common factor of n1*d2 + n2 and d2 would divide n2
+            return (zpoly.add(zpoly.mul(n1, d2), n2), d2)
+        g = zpoly.gcd(d1, d2)
+        e1, e2 = (d1, d2) if g == (1,) else (zpoly.divexact(d1, g), zpoly.divexact(d2, g))
+        num = zpoly.add(zpoly.mul(n1, e2), zpoly.mul(n2, e1))
+        if not num:
+            return ((), (1,))
+        if g != (1,):
+            # num is prime to e1 and e2, so only a factor of g can cancel
+            h = zpoly.gcd(num, g)
+            if h != (1,):
+                num, d2 = zpoly.divexact(num, h), zpoly.divexact(d2, h)
+        return _cancel_content(num, zpoly.mul(e1, d2))
 
     def _neg(self, x):
         return (zpoly.neg(x[0]), x[1])
@@ -972,13 +1010,22 @@ class RationalFunctionField(Ring):
         n2, d2 = y
         if not n1 or not n2:
             return ((), (1,))
-        return self._norm(zpoly.mul(n1, n2), zpoly.mul(d1, d2))
+        if d1 == (1,) and d2 == (1,):
+            return (zpoly.mul(n1, n2), d1)
+        g1, g2 = zpoly.gcd(n1, d2), zpoly.gcd(n2, d1)
+        if g1 != (1,):
+            n1, d2 = zpoly.divexact(n1, g1), zpoly.divexact(d2, g1)
+        if g2 != (1,):
+            n2, d1 = zpoly.divexact(n2, g2), zpoly.divexact(d1, g2)
+        return _cancel_content(zpoly.mul(n1, n2), zpoly.mul(d1, d2))
 
     def _invert(self, x):
         num, den = x
         if not num:
             return None
-        return self._norm(den, num)
+        if num[-1] < 0:
+            return (zpoly.neg(den), zpoly.neg(num))
+        return (den, num)
 
     def _zero(self):
         return ((), (1,))

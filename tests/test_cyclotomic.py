@@ -1,5 +1,9 @@
 """Cyclotomic polynomials and the three divisor-indexed factorizations."""
 
+import contextlib
+import math
+import signal
+
 import pytest
 
 from qarith import (
@@ -17,7 +21,8 @@ from qarith import (
     q_factorial,
     q_state,
 )
-from qarith.cyclotomic import divisors
+from qarith import zpoly
+from qarith.cyclotomic import _fold, divisors, gaussian_coefficients
 from helpers import brute_totient
 
 
@@ -106,3 +111,53 @@ def test_eval_cyclotomic_at_elements():
     chi4 = eval_cyclotomic(4, ctx.q)
     assert chi4 == ctx.ring.element((1, 0, 1))
     assert eval_cyclotomic(1, ctx.ring.one).is_zero()
+
+
+def _fold_reference(n, k, m):
+    """[n, k]_t modulo t^m - 1 from the packed factors, reduced with %."""
+    nbytes = (math.comb(n, k).bit_length() + 7) // 8
+    modulus = (1 << (8 * nbytes * m)) - 1
+    value = 1
+    for d in factor_q_binomial(n, k):
+        value = value * zpoly._pack(cyclotomic_poly(d), nbytes) % modulus
+    data = value.to_bytes(nbytes * m, "little")
+    return zpoly.strip(int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes))
+
+
+def test_folded_gaussian_coefficients_match_references():
+    for n in range(0, 131, 13):
+        for k in range(0, n + 1, 6):
+            plain = gaussian_coefficients(n, k)
+            for m in (2, 5, 12, 61, 97):
+                got = gaussian_coefficients(n, k, fold=m)
+                assert got == _fold_reference(n, k, m), (n, k, m)
+                by_exponent = [0] * m
+                for e, c in enumerate(plain):
+                    by_exponent[e % m] += c
+                assert got == zpoly.strip(by_exponent), (n, k, m)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_fold_stops_at_the_modulus():
+    # a multiple of the modulus sums its digits down to the modulus itself,
+    # which the loop must keep rather than fold again forever
+    bits = 24
+    modulus = (1 << bits) - 1
+    with _time_limit(5):
+        for x in (0, 1, modulus - 1, modulus, modulus + 1, 2 * modulus, modulus**3, 7**40, 7**40 * modulus):
+            r = _fold(x, modulus, bits)
+            assert 0 <= r <= modulus and r % modulus == x % modulus and (r == 0) == (x == 0)
