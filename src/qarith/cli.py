@@ -79,6 +79,14 @@ SCHEMA_VERSION = 1
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
 
+def _int_literal(digits, position=None):
+    """int(digits); a literal past CPython's int/str digit limit is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", position) from None
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -91,7 +99,7 @@ def _tokenize(text):
             at = pos + len(text[pos:]) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            tokens.append(("int", _int_literal(m.group(1), m.start(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         elif m.group(3) is not None:
@@ -257,13 +265,13 @@ def parse_ring(text: str) -> Ring:
         return ZI
     m = _QUOT_RE.match(s)
     if m:
-        base = QQ if m.group(1) == "Q" else ModularRing(int(m.group(2)))
+        base = QQ if m.group(1) == "Q" else ModularRing(_int_literal(m.group(2)))
         polyring = PolynomialRing(base, m.group(3))
         modulus = parse_element(polyring, m.group(4))
         return QuotientRing(polyring, modulus)
     m = _MOD_RE.match(s)
     if m:
-        return ModularRing(int(m.group(1)))
+        return ModularRing(_int_literal(m.group(1)))
     m = _LAURENT_RE.match(s)
     if m:
         if m.group(1) != m.group(2):
@@ -274,13 +282,13 @@ def parse_ring(text: str) -> Ring:
         return PolynomialRing(ZZ, m.group(1))
     m = _PUISEUX_RE.match(s)
     if m:
-        return RationalFunctionField(m.group(1), int(m.group(2)))
+        return RationalFunctionField(m.group(1), _int_literal(m.group(2)))
     m = _FRAC_RE.match(s)
     if m:
         return RationalFunctionField(m.group(1))
     m = _CYCLO_RE.match(s)
     if m:
-        return CyclotomicRing(int(m.group(1)))
+        return CyclotomicRing(_int_literal(m.group(1)))
     raise ParseError(f"unrecognized ring {text!r}")
 
 
@@ -358,7 +366,7 @@ class _Recorder:
         if lhs != rhs:
             self.failures.append(CaseFailure(dict(inputs), str(lhs), str(rhs)))
 
-    def ensure(self, inputs, condition, detail="condition holds"):
+    def ensure(self, inputs, condition, detail):
         self.cases += 1
         if not condition:
             self.failures.append(CaseFailure(dict(inputs), detail, "violated"))
@@ -406,14 +414,12 @@ class _Env:
         except UnsupportedError as exc:
             raise HypothesesUnmet(f"flatness certification unsupported: {exc}")
 
-    def affine_algebra(self, default_scale=None, default_shift=None):
+    def affine_algebra(self):
         """Univariate algebra R[x] with sigma from --sigma, or q*x + h."""
         if self.sigma_text is not None:
             return _sigma_algebra(self.ring, self.sigma_text)
-        scale = default_scale if default_scale is not None else self.require_q().q
-        shift = default_shift
-        if shift is None:
-            shift = parse_element(self.ring, self.h_text) if self.h_text else self.ring.one
+        scale = self.require_q().q
+        shift = parse_element(self.ring, self.h_text) if self.h_text else self.ring.one
         return TwistedAlgebra.univariate_affine(self.ring, scale, shift)
 
 

@@ -52,6 +52,10 @@ _UNSET = object()
 # rows, and below this row they are cheaper than one product per entry.
 PASCAL_MAX_ROW = 24
 
+# How many states certify_flatness tries for a non-unit (m)_q when the
+# quantum characteristic of a domain is zero.
+DIVISIBILITY_SCAN = 64
+
 
 class QContext:
     """A ring paired with a distinguished q.
@@ -399,7 +403,7 @@ def _nonunit_state_candidates(ring, qp):
     raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
 
 
-def certify_flatness(ctx: QContext, divisibility_scan: int = 64) -> FlatnessCertificate:
+def certify_flatness(ctx: QContext) -> FlatnessCertificate:
     """Decide q-flatness and q-divisibility with explicit witnesses.
 
     Finite rings: every nonzero non-unit is a zero divisor, so the ring is
@@ -436,13 +440,13 @@ def certify_flatness(ctx: QContext, divisibility_scan: int = 64) -> FlatnessCert
                     break
             return FlatnessCertificate(True, nonunit is None, None, nonunit)
         if qc.is_zero:
-            for m in range(1, divisibility_scan + 1):
+            for m in range(1, DIVISIBILITY_SCAN + 1):
                 v = q_state(ctx, m)
                 if not v.is_zero() and v.try_invert() is None:
                     return FlatnessCertificate(True, False, None, m)
             raise UnsupportedError(
                 f"cannot certify divisibility over {ring}: no nonunit state "
-                f"found within scan limit {divisibility_scan}"
+                f"found within scan limit {DIVISIBILITY_SCAN}"
             )
         raise UnsupportedError(f"quantum characteristic undecided over {ring}")
 

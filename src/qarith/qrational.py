@@ -56,20 +56,10 @@ def close_denominators(denominators) -> DenominatorSet:
         raise DomainError("denominator set must be nonempty")
     if any(n < 1 for n in given):
         raise DomainError("denominators must be positive")
-    closure = given | {1}
-    while True:
-        extra = {
-            a * b // math.gcd(a, b)
-            for a in closure
-            for b in closure
-        } - closure
-        if not extra:
-            break
-        closure |= extra
-    gen = 1
-    for n in closure:
-        gen = gen * n // math.gcd(gen, n)
-    return DenominatorSet(frozenset(given), tuple(sorted(closure)), gen)
+    closure = {1}
+    for n in given:
+        closure |= {c * n // math.gcd(c, n) for c in closure}
+    return DenominatorSet(frozenset(given), tuple(sorted(closure)), max(closure))
 
 
 class RootSystem:
@@ -194,23 +184,11 @@ def induced_root_system(sys: RootSystem, r1) -> RootSystem:
             kept[n] = rational_power(sys, r1 / n)
         except DenominatorNotCoveredError:
             continue
-    # keep the largest lcm-closed subset
-    names = set(kept)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(names):
-            for b in sorted(names):
-                l = a * b // math.gcd(a, b)
-                if l not in names:
-                    names.discard(max(a, b))
-                    changed = True
-                    break
-            if changed:
-                break
-    if 1 not in names:
+    # the covered n are lcm-closed: v_p of the denominator of r1/n is
+    # monotone in v_p(n), and the closure of sys is lcm-closed
+    if 1 not in kept:
         raise DenominatorNotCoveredError(f"q^{r1} has no covered root system")
-    dset = DenominatorSet(frozenset(names), tuple(sorted(names)), max(names))
+    dset = DenominatorSet(frozenset(kept), tuple(sorted(kept)), max(kept))
     qprime = rational_power(sys, r1)
     ctx = QContext(sys.ctx.ring, qprime)
-    return build_root_system(ctx, dset, {n: kept[n] for n in names})
+    return build_root_system(ctx, dset, kept)

@@ -12,9 +12,11 @@ equality is ring equality and every operation returns a normalized result:
 * ``Q(t)``         -- pair (num, den) of integer polynomial tuples; num/den coprime,
                       contents coprime, den has positive leading coefficient;
                       ``normalize`` runs a full gcd, arithmetic follows Henrici
-* ``Cyclo(p)``     -- integer residue vector of degree < deg chi_p
 * ``B[x]/(mu)``    -- residue vector of degree < deg mu (mu needs a unit leading
-                      coefficient so remainder division is defined over B = Z/n or Q)
+                      coefficient so remainder division is defined over B = Z/n, Q
+                      or Z)
+* ``Cyclo(p)``     -- the ``B[x]/(mu)`` with B = Z, x = t and mu = chi_p: integer
+                      residue vector of degree < deg chi_p
 * ``Q(t^(1/L))``   -- a ``Q(t)`` payload in s = t^(1/L)
 
 Dense polynomials over any base are tuples of base payloads, constant first,
@@ -845,8 +847,7 @@ class PolynomialRing(Ring):
 class LaurentRing(Ring):
     """Laurent polynomials over a domain: sparse (exponent, coefficient) pairs."""
 
-    def __init__(self, base=None, var="t"):
-        base = base if base is not None else IntegerRing()
+    def __init__(self, base, var="t"):
         if not base.is_domain:
             raise DomainError("Laurent base must be an integral domain")
         self.base = base
@@ -1098,94 +1099,22 @@ class RationalFunctionField(Ring):
         return 2
 
 
-class CyclotomicRing(Ring):
-    """Z[t]/chi_p: integer residue vectors of degree < deg chi_p."""
-
-    is_domain = True
-    torsion_free = True
-
-    def __init__(self, p):
-        if p < 2:
-            raise DomainError("cyclotomic quotient index must be >= 2")
-        self.p = p
-        self.modulus = cyclotomic_poly(p)
-
-    def _reduce(self, cs):
-        return zpoly.reduce_cyclotomic(cs, self.p, self.modulus)
-
-    def normalize(self, payload):
-        return self._reduce([as_int(c) for c in payload])
-
-    def _add(self, a, b):
-        return zpoly.add(a, b)
-
-    def _neg(self, a):
-        return zpoly.neg(a)
-
-    def _mul(self, a, b):
-        return self._reduce(zpoly.mul(a, b))
-
-    def _invert(self, a):
-        if not a:
-            return None
-        # Bezout over Q[t] against the (irreducible) modulus; the inverse is a
-        # unit of Z[t]/chi_p exactly when its field inverse has integer coords
-        g, s = dense_euclid(QQ, tuple(map(Fraction, a)), tuple(map(Fraction, self.modulus)))
-        if len(g) != 1:
-            return None
-        inv = dense_scale(QQ, s, g[0])
-        if any(c.denominator != 1 for c in inv):
-            return None
-        return self._reduce([int(c) for c in inv])
-
-    def _zero(self):
-        return ()
-
-    def _one(self):
-        return (1,)
-
-    def _from_int(self, n):
-        return self._reduce([n])
-
-    def _text(self, a):
-        return _fmt_terms([(_power("t", e), c < 0, str(abs(c))) for e, c in enumerate(a) if c])
-
-    def descriptor(self):
-        return ("cyclo", self.p)
-
-    def _name(self):
-        return f"Cyclo({self.p})"
-
-    @property
-    def generator(self):
-        """The class of t, a primitive p-th root of unity."""
-        return RingElement(self, self._reduce([0, 1]))
-
-    def atoms(self):
-        return {"t": self._reduce([0, 1])}
-
-    def random_element(self, rng):
-        d = len(self.modulus) - 1
-        return self.element(tuple(rng.randint(-9, 9) for _ in range(d)))
-
-    def root_of_unity_order_bound(self):
-        # torsion units of Z[zeta_p] are +-zeta_p^j
-        return 2 * self.p
-
-
 def _mod_p(cs, p):
     return zpoly.strip(c % p for c in cs)
 
 
 class QuotientRing(Ring):
-    """B[x]/(mu) for B = Z/n or Q; mu nonconstant with unit leading coefficient.
+    """B[x]/(mu) for B = Z/n or Q, or B = Z with a monic mu; mu nonconstant
+    with unit leading coefficient.
 
     Units and annihilators are decided by extended Euclid over a field: over
     Q directly, over Z/n modulo each prime p | n, where v is a unit exactly
     when gcd(v mod p, mu mod p) = 1 for every p.  Inverses modulo the primes
     are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
     with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Nothing
-    enumerates the ring, but n must factor (``ModularRing.factors``).
+    enumerates the ring, but n must factor (``ModularRing.factors``).  Over
+    Z only ``CyclotomicRing`` decides units; any other quotient over Z raises
+    UnsupportedError.
     """
 
     def __init__(self, polyring, modulus):
@@ -1324,6 +1253,55 @@ class QuotientRing(Ring):
         if self.base == RationalField():
             return _qalg_torsion_bound(len(self.modulus) - 1)
         return None
+
+
+class CyclotomicRing(QuotientRing):
+    """Cyclo(p) = Z[t]/(chi_p), where t is a primitive p-th root of unity.
+
+    A ``QuotientRing`` over ``PolynomialRing(ZZ, "t")`` with modulus chi_p;
+    it inherits everything but its integer kernels.
+    """
+
+    is_domain = True
+
+    def __init__(self, p):
+        if p < 2:
+            raise DomainError("cyclotomic quotient index must be >= 2")
+        self.p = p
+        super().__init__(PolynomialRing(ZZ, "t"), cyclotomic_poly(p))
+
+    def _reduce(self, cs):
+        return zpoly.reduce_cyclotomic(cs, self.p, self.modulus)
+
+    # These three kernels override QuotientRing's for two reasons: _mul folds
+    # modulo t^p - 1 first (``reduce_cyclotomic``), where the generic
+    # ``dense_divmod`` would cost O(deg^2) per product; and the perfbench
+    # tracer wraps each ring kind's own _add, _mul and _invert.
+    def _add(self, a, b):
+        return zpoly.add(a, b)
+
+    def _mul(self, a, b):
+        return self._reduce(zpoly.mul(a, b))
+
+    def _invert(self, a):
+        if not a:
+            return None
+        # Bezout over Q[t] against the (irreducible) modulus; the inverse is a
+        # unit of Z[t]/chi_p exactly when its field inverse has integer coords
+        g, s = dense_euclid(QQ, tuple(map(Fraction, a)), tuple(map(Fraction, self.modulus)))
+        if len(g) != 1:
+            return None
+        inv = dense_scale(QQ, s, g[0])
+        if any(c.denominator != 1 for c in inv):
+            return None
+        return self._reduce([int(c) for c in inv])
+
+    def _name(self):
+        return f"Cyclo({self.p})"
+
+    def root_of_unity_order_bound(self):
+        # torsion units of Z[zeta_p] are +-zeta_p^j
+        return 2 * self.p
 
 
 # canonical shared instances

@@ -48,7 +48,7 @@ from .rings import (
 class TwistedAlgebra(Ring):
     """R[x1,...,xg] with an endomorphism fixing R, as sparse exponent maps."""
 
-    def __init__(self, base, gens, sigma=None):
+    def __init__(self, base, gens):
         if not base.commutative:
             raise DomainError("twisted algebras need a commutative base")
         self.base = base
@@ -60,21 +60,19 @@ class TwistedAlgebra(Ring):
         self.characteristic = base.characteristic
         self._sigma = None
         self._affine = self._affine_of(self.sigma_images)
-        if sigma is not None:
-            self.set_sigma(sigma)
 
     # --- construction helpers ---
 
     @classmethod
-    def univariate_affine(cls, base, q, h, var="x"):
+    def univariate_affine(cls, base, q, h):
         """R[x] with sigma(x) = q*x + h."""
         if isinstance(q, int):
             q = base.from_int(q)
         if isinstance(h, int):
             h = base.from_int(h)
-        alg = cls(base, (var,))
-        x = alg.gen(var)
-        alg.set_sigma({var: alg.scalar(q) * x + alg.scalar(h)})
+        alg = cls(base, ("x",))
+        x = alg.gen("x")
+        alg.set_sigma({"x": alg.scalar(q) * x + alg.scalar(h)})
         return alg
 
     @classmethod

@@ -422,3 +422,24 @@ def test_verify_cyclo_binom_is_independent_of_q_binomial(monkeypatch):
     # one product check per (n, k) and one floor check per (n, k, m), 2 <= m <= n
     assert report.cases == sum((n + 1) * max(n, 1) for n in range(31))
     assert report.exit_code == 0
+
+
+_HUGE = "9" * 5000  # past CPython's default int/str limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qint", "--ring", f"Z/{_HUGE}", "5"],
+        ["qint", "--ring", f"Z/{_HUGE}[X]/(X^2+1)", "5"],
+        ["qint", "--ring", f"Cyclo({_HUGE})", "5"],
+        ["qint", "--ring", f"Q(t^(1/{_HUGE}))", "5"],
+        ["qint", "--ring", "Z", "--q", _HUGE, "5"],
+    ],
+    ids=["Z/n", "Z/n[X]/(mu)", "Cyclo(n)", "Q(t^(1/L))", "--q"],
+)
+def test_overlong_integer_literal_is_a_parse_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "integer literal of 5000 digits is too long" in err
+    assert "Traceback" not in err
