@@ -1075,6 +1075,10 @@ def main(argv=None) -> int:
         if cmd.ring:
             ring, q = _resolve_ring_q(args, cmd.q)
         fields, text, code = cmd.handler(args, ring, q)
+        if args.json:
+            payload = {"schema_version": SCHEMA_VERSION, "ring": _str(ring), "q": _str(q), "op": args.command}
+            payload.update(fields, args={**{k: getattr(args, k) for k in cmd.echo}, **fields.get("args", {})})
+            text = json.dumps(payload, sort_keys=True)
     except HypothesesUnmet as exc:
         print(f"hypotheses unmet: {exc}", file=sys.stderr)
         return 2
@@ -1084,10 +1088,6 @@ def main(argv=None) -> int:
     except QArithError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cmd.error_code
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "ring": _str(ring), "q": _str(q), "op": args.command}
-        payload.update(fields, args={**{k: getattr(args, k) for k in cmd.echo}, **fields.get("args", {})})
-        text = json.dumps(payload, sort_keys=True)
     print(text)
     return code
 

@@ -4,7 +4,7 @@ Every ring kind stores its elements in a single normal form, so payload
 equality is ring equality and every operation returns a normalized result:
 
 * ``Z``            -- plain int
-* ``Q``            -- Fraction
+* ``Q``            -- int when integral, else Fraction with denominator > 1
 * ``Z/n``          -- residue in [0, n)
 * ``Z[i]``         -- pair (a, b) for a + b*i
 * ``R[x]``         -- tuple of base payloads, constant first, no trailing zeros
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 
 from . import ntheory, zpoly
@@ -62,6 +63,23 @@ def as_int(x):
         return operator.index(x)
     except TypeError:
         raise DomainError(f"{x!r} is not an integer") from None
+
+
+def _rational(x):
+    """The Q payload of a rational x: an int when x is integral, else x."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _decimal(x):
+    """str(x) for an int or Fraction x; an integer past CPython's int/str
+    digit limit raises UnsupportedError instead of ValueError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise UnsupportedError(
+            f"cannot print an integer of more than {sys.get_int_max_str_digits()} digits "
+            "(CPython's int/str conversion limit)"
+        ) from None
 
 
 def _qalg_torsion_bound(n):
@@ -355,7 +373,7 @@ class IntegerRing(Ring):
         return n
 
     def _text(self, a):
-        return str(a)
+        return _decimal(a)
 
     def descriptor(self):
         return ("Z",)
@@ -378,31 +396,31 @@ class RationalField(Ring):
     torsion_free = True
 
     def normalize(self, payload):
-        return Fraction(payload)
+        return _rational(Fraction(payload))
 
     def _add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def _invert(self, a):
-        return None if a == 0 else 1 / a
+        return None if a == 0 else _rational(Fraction(1, a))
 
     def _zero(self):
-        return Fraction(0)
+        return 0
 
     def _one(self):
-        return Fraction(1)
+        return 1
 
     def _from_int(self, n):
-        return Fraction(n)
+        return n
 
     def _text(self, a):
-        return str(a)
+        return _decimal(a)
 
     def descriptor(self):
         return ("Q",)
@@ -411,7 +429,7 @@ class RationalField(Ring):
         return "Q"
 
     def random_element(self, rng):
-        return RingElement(self, Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+        return RingElement(self, _rational(Fraction(rng.randint(-20, 20), rng.randint(1, 12))))
 
     def root_of_unity_order_bound(self):
         return 2
@@ -549,11 +567,11 @@ class GaussianRing(Ring):
     def _text(self, x):
         a, b = x
         if b == 0:
-            return str(a)
-        ib = "i" if abs(b) == 1 else f"{abs(b)}*i"
+            return _decimal(a)
+        ib = "i" if abs(b) == 1 else f"{_decimal(abs(b))}*i"
         if a == 0:
             return ib if b > 0 else f"-{ib}"
-        return f"{a}+{ib}" if b > 0 else f"{a}-{ib}"
+        return f"{_decimal(a)}+{ib}" if b > 0 else f"{_decimal(a)}-{ib}"
 
     def descriptor(self):
         return ("Z[i]",)
@@ -1040,7 +1058,7 @@ class RationalFunctionField(Ring):
     def _poly_text(self, cs):
         L = self.denominator
         return _fmt_terms(
-            [(_power(self.var, e if L == 1 else Fraction(e, L)), c < 0, str(abs(c)))
+            [(_power(self.var, e if L == 1 else Fraction(e, L)), c < 0, _decimal(abs(c)))
              for e, c in enumerate(cs) if c]
         )
 
@@ -1113,8 +1131,8 @@ class QuotientRing(Ring):
     are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
     with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Nothing
     enumerates the ring, but n must factor (``ModularRing.factors``).  Over
-    Z only ``CyclotomicRing`` decides units; any other quotient over Z raises
-    UnsupportedError.
+    Z (mu monic) a unit is an element whose inverse over Q has integer
+    coefficients; annihilators over Z raise UnsupportedError.
     """
 
     def __init__(self, polyring, modulus):
@@ -1159,9 +1177,19 @@ class QuotientRing(Ring):
     def _invert(self, a):
         if not a:
             return None
-        if self.base.is_field:
-            g, s = dense_euclid(self.base, a, self.modulus)
-            return None if len(g) > 1 else self.normalize(dense_scale(self.base, s, g[0]))
+        over_z = isinstance(self.base, IntegerRing)
+        if self.base.is_field or over_z:
+            # over Z, Bezout runs over Q: mu is monic, so an inverse b in
+            # Q[x]/(mu) with integer coefficients gives a*b - 1 = mu*c with c
+            # in Z[x], and a has no inverse in Z[x]/(mu) otherwise
+            field = QQ if over_z else self.base
+            g, s = dense_euclid(field, a, self.modulus)
+            if len(g) > 1:
+                return None
+            inv = dense_scale(field, s, g[0])
+            if over_z and any(type(c) is not int for c in inv):
+                return None
+            return self.normalize(inv)
         # Z/n: a unit modulo every prime p | n, then CRT to rad(n) and Newton
         # steps x <- x(2 - ax), each squaring the error 1 - ax, up to n
         parts = []
@@ -1276,7 +1304,8 @@ class CyclotomicRing(QuotientRing):
     # These three kernels override QuotientRing's for two reasons: _mul folds
     # modulo t^p - 1 first (``reduce_cyclotomic``), where the generic
     # ``dense_divmod`` would cost O(deg^2) per product; and the perfbench
-    # tracer wraps each ring kind's own _add, _mul and _invert.
+    # tracer wraps each ring kind's own _add, _mul and _invert, so _invert
+    # is a plain delegation.
     def _add(self, a, b):
         return zpoly.add(a, b)
 
@@ -1284,17 +1313,7 @@ class CyclotomicRing(QuotientRing):
         return self._reduce(zpoly.mul(a, b))
 
     def _invert(self, a):
-        if not a:
-            return None
-        # Bezout over Q[t] against the (irreducible) modulus; the inverse is a
-        # unit of Z[t]/chi_p exactly when its field inverse has integer coords
-        g, s = dense_euclid(QQ, tuple(map(Fraction, a)), tuple(map(Fraction, self.modulus)))
-        if len(g) != 1:
-            return None
-        inv = dense_scale(QQ, s, g[0])
-        if any(c.denominator != 1 for c in inv):
-            return None
-        return self._reduce([int(c) for c in inv])
+        return super()._invert(a)
 
     def _name(self):
         return f"Cyclo({self.p})"

@@ -20,7 +20,9 @@ and apply the inductive rule.
 
 For affine sigma(x) = q*x + h with q a unit, the twisted powers x^(0), x^(1),
 ... form a degree basis; ``expand_in_twisted_basis`` rewrites any univariate
-polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1).
+polynomial in it (the Newton/Stirling transform for sigma(x) = x - 1) by
+Newton division on the nodes of ``TwistedPowerBasis``, O(d^2) base
+operations on the dense coefficient tuple.
 """
 
 from __future__ import annotations
@@ -462,8 +464,11 @@ def artin_schreier_check(base, h) -> RingElement:
 class TwistedPowerBasis:
     """The family x^(0), x^(1), ... for affine sigma(x) = q*x + h with q a unit.
 
-    x^(i) has degree i and unit leading coefficient q^(i(i-1)/2), so the
-    family is a free module basis in each degree.
+    x^(i) = sigma^0(x) * ... * sigma^(i-1)(x) with sigma^j(x) = q^j*x + (j)_q*h,
+    so x^(i) = q^(i(i-1)/2) * (x - r_0) * ... * (x - r_(i-1)) with the nodes
+    r_j = -(j)_q*h*q^(-j).  It has degree i and unit leading coefficient, so
+    the family is a free module basis in each degree, and coefficients in it
+    are Newton coefficients on these nodes, rescaled.
     """
 
     def __init__(self, alg: TwistedAlgebra):
@@ -475,41 +480,84 @@ class TwistedPowerBasis:
         self.q = q
         self.h = h
         self._qinv = qinv
-        self._basis = [alg.one]
-        self._cur = alg.gen(alg.gens[0])  # sigma^i(x) for i = len(basis) - 1
 
     def element(self, i: int) -> RingElement:
-        while len(self._basis) <= i:
-            self._basis.append(self._basis[-1] * self._cur)
-            self._cur = self.algebra.sigma(self._cur)
-        return self._basis[i]
+        """x^(i)."""
+        return twisted_power(self.algebra, self.algebra.gen(self.algebra.gens[0]), i)
 
-    def leading_inverse(self, i: int) -> RingElement:
-        return self._qinv ** (i * (i - 1) // 2)
+    def _nodes(self, n):
+        """[r_0, ..., r_(n-1)] as base payloads: r_0 = 0 and
+        r_(j+1) = r_j - h*q^(-(j+1)), since (j+1)_q = 1 + q*(j)_q."""
+        base = self.algebra.base
+        add, mul = base._add, base._mul
+        step = base._neg(self.h.payload)
+        qinv = self._qinv.payload
+        out = [base._zero()]
+        for _ in range(n - 1):
+            step = mul(step, qinv)
+            out.append(add(out[-1], step))
+        return out
+
+
+def _triangular_powers(base, q, n):
+    """[q^(j(j-1)/2) for j < n] as base payloads, for a payload q."""
+    mul = base._mul
+    out, qj = [base._one()], base._one()
+    for _ in range(n - 1):
+        out.append(mul(out[-1], qj))
+        qj = mul(qj, q)
+    return out
 
 
 def expand_in_twisted_basis(basis: TwistedPowerBasis, f: RingElement) -> dict:
-    """Unique coefficients {i: c_i} with f = sum c_i x^(i), by leading-term elimination."""
+    """Unique coefficients {i: c_i} with f = sum c_i x^(i), by Newton division.
+
+    Dividing f by x - r_0, then the quotient by x - r_1, and so on (synthetic
+    division, O(deg^2) base operations) leaves the Newton coefficients d_j of
+    f on the nodes as remainders, and c_j = d_j * q^(-j(j-1)/2).
+    """
     alg = basis.algebra
     if f.ring != alg:
         raise RingMismatchError("element does not belong to the basis algebra")
+    base = alg.base
+    add, mul = base._add, base._mul
+    z = base._zero()
+    a = list(alg._to_dense(f.payload))
+    n = len(a)
+    nodes = basis._nodes(n)
+    # after step j, a[j] is d_j and a[j+1:] the quotient
+    for j in range(n - 1):
+        r = nodes[j]
+        if r != z:
+            for k in range(n - 2, j - 1, -1):
+                a[k] = add(a[k], mul(r, a[k + 1]))
+    scales = _triangular_powers(base, basis._qinv.payload, n)
     coeffs = {}
-    while not f.is_zero():
-        d = alg.degree(f)
-        c = alg.coefficient(f, d) * basis.leading_inverse(d)
-        coeffs[d] = c
-        f = f - alg.scalar(c) * basis.element(d)
-        if alg.degree(f) >= d:
-            raise InternalError("leading-term elimination failed to reduce degree")
+    for j, (d, s) in enumerate(zip(a, scales)):
+        c = mul(d, s)
+        if c != z:
+            coeffs[j] = RingElement(base, c)
     return coeffs
 
 
 def assemble_from_twisted_basis(basis: TwistedPowerBasis, coeffs: dict) -> RingElement:
+    """sum c_i x^(i) for {i: c_i}: the Newton coefficients d_i = c_i *
+    q^(i(i-1)/2), then the steps of ``expand_in_twisted_basis`` undone in
+    reverse order (Horner's scheme on the nodes)."""
     alg = basis.algebra
-    acc = alg.zero
-    for i, c in sorted(coeffs.items()):
-        acc = acc + alg.scalar(c) * basis.element(i)
-    return acc
+    base = alg.base
+    add, mul = base._add, base._mul
+    n = max(coeffs, default=-1) + 1
+    a = [base._zero()] * n
+    for i, c in coeffs.items():
+        a[i] = (base.zero + c).payload  # an int, or an element of the base
+    a = [mul(d, s) for d, s in zip(a, _triangular_powers(base, basis.q.payload, n))]
+    nodes = basis._nodes(n)
+    for j in range(n - 2, -1, -1):
+        r = base._neg(nodes[j])
+        for k in range(j, n - 1):
+            a[k] = add(a[k], mul(r, a[k + 1]))
+    return RingElement(alg, alg._from_dense(dense_strip(base, a)))
 
 
 def reduce_mod_twisted_ideal(basis: TwistedPowerBasis, f: RingElement, n: int) -> RingElement:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -443,3 +444,22 @@ def test_overlong_integer_literal_is_a_parse_error(capsys, argv):
     err = capsys.readouterr().err
     assert "integer literal of 5000 digits is too long" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qint", "--ring", "Z", "--q", "10", "5000"],
+        ["qint", "--ring", "Q", "--q", "10", "5000"],
+        ["qbinom", "--ring", "Q", "--q", "2", "400", "200"],
+        ["qint", "--ring", "Q(t)", "--q", "10", "5000"],
+        ["qint", "--ring", "Z[i]", "--q", "10", "5000"],
+        ["qint", "--ring", "Z", "--q", "10^5000", "2", "--json"],
+    ],
+    ids=["qint Z", "qint Q", "qbinom Q", "qint Q(t)", "qint Z[i]", "--json q"],
+)
+def test_result_past_the_digit_limit_is_an_error(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err

@@ -83,3 +83,64 @@ def test_pinned_generator_and_integers():
     assert str(CyclotomicRing(12).generator ** 5 - 3) == "-3 - t + t^3"
     assert str(CyclotomicRing(2).generator) == "-1"
     assert str(CyclotomicRing(13).from_int(-4)) == "-4"
+
+
+# --- units of a plain monic quotient over Z --------------------------------------
+
+small_payloads = st.lists(st.integers(-3, 3), max_size=12).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 30), small_payloads)
+def test_plain_quotient_inverts_like_cyclo(p, x):
+    cyclo, quot = _pair(p)
+    inv, qinv = cyclo.element(x).try_invert(), quot.element(x).try_invert()
+    assert (None if inv is None else inv.payload) == (None if qinv is None else qinv.payload)
+
+
+def test_cyclo_3_generator_is_a_unit_of_the_plain_quotient():
+    _, quot = _pair(3)
+    assert str(quot.generator.try_invert()) == "-1 - t"
+
+
+def _plain(mu):
+    return QuotientRing(PolynomialRing(ZZ, "t"), mu)
+
+
+def test_units_modulo_a_reducible_monic():
+    ring = _plain((-1, 0, 1))  # t^2 - 1
+    t = ring.generator
+    assert t.try_invert() == t
+    assert (t + 1).try_invert() is None  # (t + 1)(t - 1) = 0
+    assert ring.from_int(2).try_invert() is None
+    assert (-ring.one).try_invert() == -ring.one
+
+
+def test_units_modulo_a_square():
+    ring = _plain((1, 2, 3, 2, 1))  # chi_3^2
+    t = ring.generator
+    inv = t.try_invert()
+    assert inv is not None and t * inv == ring.one
+    assert str(inv) == "-2 - 3*t - 2*t^2 - t^3"
+    assert (1 + t + t * t).try_invert() is None  # nilpotent
+    assert (2 + t).try_invert() is None  # Res = 9
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), small_payloads)
+def test_plain_quotient_units_match_resultant(lower, x):
+    # Z[t]/(mu) is free of rank deg mu over Z, and multiplication by a has
+    # determinant +-Res(mu, a), so a is a unit exactly when that is +-1
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    mu = tuple(lower) + (1,)
+    ring = _plain(mu)
+    a = ring.element(x)
+    inv = a.try_invert()
+    if a.is_zero():
+        assert inv is None
+        return
+    res = sympy.resultant(sympy.Poly(list(reversed(mu)), s), sympy.Poly(list(reversed(a.payload)), s))
+    assert (inv is not None) == (abs(res) == 1), (mu, x, res)
+    if inv is not None:
+        assert a * inv == ring.one

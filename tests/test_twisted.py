@@ -5,6 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qarith import (
     QQ,
     ZZ,
@@ -16,6 +20,7 @@ from qarith import (
     PolynomialRing,
     QContext,
     RationalFunctionField,
+    RingElement,
     RingMismatchError,
     TwistedAlgebra,
     TwistedPowerBasis,
@@ -427,3 +432,84 @@ def test_algebra_name_shows_sigma():
     assert str(err.value) == (
         "elements of Z[x] with sigma(x) = -1 + x and Z[x] with sigma(x) = 2*x cannot be combined"
     )
+
+
+# --- Newton division against leading-term elimination --------------------------
+
+
+def _eliminate(alg, f):
+    """{i: c_i} with f = sum c_i x^(i), by leading-term elimination: the
+    expansion's earlier algorithm, kept as the oracle.  The basis is built
+    by the inductive rule with sigma applied by substitution."""
+    q, _ = alg._affine
+    qinv = RingElement(alg.base, alg.base._invert(q))
+    basis, cur = [alg.one], alg.gen("x")
+    coeffs = {}
+    while not f.is_zero():
+        d = alg.degree(f)
+        while len(basis) <= d:
+            basis.append(basis[-1] * cur)
+            cur = alg.substitute(cur, alg.sigma_images)
+        c = alg.coefficient(f, d) * qinv ** (d * (d - 1) // 2)
+        coeffs[d] = c
+        f = f - alg.scalar(c) * basis[d]
+        assert alg.degree(f) < d
+    return coeffs
+
+
+def _rationals(base):
+    return st.builds(lambda a, b: base.from_int(a) / base.from_int(b), st.integers(-9, 9), st.integers(1, 5))
+
+
+def _twisted_case(kind):
+    """(base, q strategy, h strategy, coefficient strategy) per base kind."""
+    if kind == "Q":
+        qs = st.sampled_from([QQ.from_int(1), QQ.from_int(-1), QQ.from_int(2), QQ.element(Fraction(-1, 3))])
+        return QQ, qs, _rationals(QQ), _rationals(QQ)
+    if kind in ("Z/12", "Z/7"):
+        ring = ModularRing(int(kind[2:]))
+        units = [ring.from_int(u) for u in range(ring.n) if ring.is_unit(ring.from_int(u))]
+        residues = st.integers(0, ring.n - 1).map(ring.from_int)
+        return ring, st.sampled_from(units), residues, residues
+    if kind == "Z":
+        ints = st.integers(-9, 9).map(ZZ.from_int)
+        return ZZ, st.sampled_from([ZZ.one, -ZZ.one]), ints, ints
+    field = RationalFunctionField("q")
+    q = field.generator
+    return field, st.just(q), st.sampled_from([field.zero, field.one, q, q + 1, -(q * q) / 2]), _rationals(field)
+
+
+@st.composite
+def _expansions(draw):
+    """(algebra, f): sigma(x) = q*x + h with q a unit, f of degree <= 12."""
+    base, qs, hs, coeffs = _twisted_case(draw(st.sampled_from(["Q", "Z/12", "Z/7", "Z", "Q(q)"])))
+    alg = TwistedAlgebra.univariate_affine(base, draw(qs), draw(hs))
+    cs = draw(st.lists(coeffs, max_size=13))
+    return alg, alg.element(tuple(((e,), c.payload) for e, c in enumerate(cs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expansions())
+def test_newton_division_matches_leading_term_elimination(case):
+    alg, f = case
+    basis = TwistedPowerBasis(alg)
+    coeffs = expand_in_twisted_basis(basis, f)
+    assert coeffs == _eliminate(alg, f)
+    assert all(not c.is_zero() for c in coeffs.values())
+    assert assemble_from_twisted_basis(basis, coeffs) == f
+    for n in (0, 1, 3, 7):
+        want = {i: c for i, c in _eliminate(alg, f).items() if i < n}
+        truncated = alg.zero
+        for i, c in want.items():
+            truncated = truncated + alg.scalar(c) * twisted_power(alg, alg.gen("x"), i)
+        assert reduce_mod_twisted_ideal(basis, f, n) == truncated
+
+
+def test_basis_element_is_the_twisted_power():
+    basis = TwistedPowerBasis(TwistedAlgebra.univariate_affine(QQ, 2, 1))
+    alg = basis.algebra
+    x = alg.gen("x")
+    assert [basis.element(i) for i in range(4)] == [alg.one, x, x * (2 * x + 1), x * (2 * x + 1) * (4 * x + 3)]
+    assert assemble_from_twisted_basis(basis, {2: 3, 0: QQ.from_int(1)}) == 3 * basis.element(2) + 1
+    with pytest.raises(RingMismatchError):
+        assemble_from_twisted_basis(basis, {1: ZZ.one})
