@@ -679,9 +679,14 @@ def _iv_rational_state(env, rec):
 
 
 def _iv_sigmaen(env, rec):
-    ctx = env.require_q()
     alg = env.affine_algebra()
     q, h = _affine_data(alg)
+    if env.q is None:  # --sigma fixes q
+        ctx = QContext(env.ring, q)
+    elif env.q == q:
+        ctx = env.ctx
+    else:
+        raise DomainError(f"sigma gives q = {q}, which disagrees with q = {env.q}")
     x = alg.gen(alg.gens[0])
     n_max = env.ranges["n_max"]
     for n in env.pick(range(n_max + 1)):
@@ -902,7 +907,8 @@ def _resolve_ring_q(args, q_mode):
 
 def _value(value):
     """Handler output of a command whose answer is one element."""
-    return {"result": str(value)}, str(value), 0
+    text = str(value)
+    return {"result": text}, text, 0
 
 
 def _qrat(args, ring, q):

@@ -3,8 +3,15 @@ quantum characteristic, and flatness/divisibility certification.
 
 The q-state of m >= 0 is the geometric sum 1 + q + ... + q^(m-1), built by the
 inductive rule (m+1)_q = (m)_q + q^m; for m < 0 (q invertible) it is
--(q^-1 + ... + q^m).  The q-factorial (m)_q! multiplies the states from the
+-(q^-1 + ... + q^m).  A ``QContext`` keeps the powers and states it has built
+as payload lists, filled with the ring's payload operations, and wraps only
+the element it returns.  The q-factorial (m)_q! multiplies the states from the
 largest cached factorial below m on, as a balanced product tree.
+
+The certificates need the single pair ((k)_q, q^k), the top row of
+M^k for M = [[1, 1], [0, q]].  On Z/n with q not 0 or 1 it comes in closed
+form from one modular power, since (k)_q = (q^k - 1)/(q - 1) exactly; on
+every other ring M is squared and multiplied (``_matrix_power``).
 
 Binomial coefficients take one of two routes, both division-free:
 
@@ -60,16 +67,17 @@ DIVISIBILITY_SCAN = 64
 class QContext:
     """A ring paired with a distinguished q.
 
-    Caches powers of q, q-states, the q-factorials asked for, Pascal
-    triangle rows (as payloads) and binomials computed by cyclotomic
-    products; the caches only grow and are never observable from outside,
+    Caches, all as payloads: powers of q and of q^-1, q-states, the
+    q-factorials asked for, Pascal triangle rows and binomials computed by
+    cyclotomic products.  The caches only grow, a refused negative index
+    leaves them as they were, and they are never observable from outside,
     so contexts can be shared freely.
     """
 
     def __init__(self, ring, q, q_inverse=None):
         if isinstance(q, int):
             q = ring.from_int(q)
-        if q.ring != ring:
+        if q.ring is not ring and q.ring != ring:
             raise RingMismatchError("q must belong to the context ring")
         self.ring = ring
         self.q = q
@@ -79,12 +87,13 @@ class QContext:
             if not (q * q_inverse).is_one():
                 raise DomainError("q_inverse does not invert q")
         self._qinv = q_inverse if q_inverse is not None else _UNSET
-        self._pows = [ring.one]
-        self._neg_pows = [ring.one]
-        self._states = [ring.zero]
-        self._neg_states = [ring.zero]
-        self._facts = {0: ring._one()}  # m -> payload of (m)_q!
-        self._pascal = [[ring._one()]]  # rows of payloads
+        one, zero = ring._one(), ring._zero()
+        self._pows = [one]  # payloads of q^k, k >= 0
+        self._neg_pows = [one]  # payloads of q^(-k)
+        self._states = [zero]  # payloads of (m)_q, m >= 0
+        self._neg_states = [zero]  # payloads of (-m)_q
+        self._facts = {0: one}  # m -> payload of (m)_q!
+        self._pascal = [[one]]  # rows of payloads
         self._structural = _UNSET  # (n, k) -> payload above PASCAL_MAX_ROW, or None
         self._binoms = {}  # (n, min(k, n - k)) -> payload, structural rows only
 
@@ -94,19 +103,26 @@ class QContext:
             self._qinv = self.q.try_invert()
         return self._qinv
 
-    def q_power(self, k: int) -> RingElement:
+    def _power_payloads(self, k):
+        """The payload list of q^0 ... q^k (of q^0 ... q^(-k) for k < 0),
+        grown to reach k; NotInvertibleError for k < 0 and q not a unit."""
+        mul = self.ring._mul
         if k >= 0:
-            pows = self._pows
-            while len(pows) <= k:
-                pows.append(pows[-1] * self.q)
-            return pows[k]
-        qinv = self.q_inverse
-        if qinv is None:
-            raise NotInvertibleError(f"q = {self.q} is not a unit of {self.ring}")
-        pows = self._neg_pows
-        while len(pows) <= -k:
-            pows.append(pows[-1] * qinv)
-        return pows[-k]
+            pows, qp = self._pows, self.q.payload
+        else:
+            qinv = self.q_inverse
+            if qinv is None:
+                raise NotInvertibleError(f"q = {self.q} is not a unit of {self.ring}")
+            pows, qp, k = self._neg_pows, qinv.payload, -k
+        while len(pows) <= k:
+            pows.append(mul(pows[-1], qp))
+        return pows
+
+    def q_power(self, k: int) -> RingElement:
+        pows = self._pows if k >= 0 else self._neg_pows
+        if len(pows) <= abs(k):
+            self._power_payloads(k)
+        return RingElement(self.ring, pows[abs(k)])
 
     def __repr__(self):
         return f"QContext({self.ring}, q={self.q})"
@@ -114,17 +130,20 @@ class QContext:
 
 def q_state(ctx: QContext, m: int) -> RingElement:
     """(m)_q, for any integer m (negative m requires q invertible)."""
-    if m >= 0:
-        states = ctx._states
-        while len(states) <= m:
-            j = len(states) - 1
-            states.append(states[j] + ctx.q_power(j))
-        return states[m]
-    states = ctx._neg_states
-    while len(states) <= -m:
-        j = len(states)  # building (-j)_q
-        states.append(states[j - 1] - ctx.q_power(-j))
-    return states[-m]
+    states = ctx._states if m >= 0 else ctx._neg_states
+    if len(states) <= abs(m):
+        ring = ctx.ring
+        if m >= 0:
+            pows = ctx._power_payloads(m - 1)
+            while len(states) <= m:
+                j = len(states) - 1
+                states.append(ring._add(states[j], pows[j]))
+        else:
+            pows = ctx._power_payloads(m)
+            while len(states) <= -m:
+                j = len(states)  # building (-j)_q
+                states.append(ring._add(states[j - 1], ring._neg(pows[j])))
+    return RingElement(ctx.ring, states[abs(m)])
 
 
 def q_factorial(ctx: QContext, m: int) -> RingElement:
@@ -192,8 +211,7 @@ def q_binomial(ctx: QContext, n: int, k: int) -> RingElement:
             return RingElement(ring, value)
     rows = ctx._pascal
     if len(rows) <= n:
-        ctx.q_power(n - 1)
-        pows = [p.payload for p in ctx._pows[:n]]
+        pows = ctx._power_payloads(n - 1)
         add, mul, one = ring._add, ring._mul, ring._one()
         while len(rows) <= n:
             prev = rows[-1]
@@ -257,8 +275,19 @@ class QCharResult:
 
 
 def _matrix_power(ring, qp, k):
-    """((k)_q, q^k) as payloads: M^k for M = [[1, 1], [0, q]], by square and
-    multiply, since M^k = [[1, (k)_q], [0, q^k]]."""
+    """((k)_q, q^k) as payloads, k >= 0: M^k for M = [[1, 1], [0, q]], since
+    M^k = [[1, (k)_q], [0, q^k]].
+
+    On Z/n with q not 0 or 1 this is one modular power: q - 1 divides
+    q^k - 1 = (q - 1)(k)_q, so r = q^k mod n(q - 1) gives
+    (k)_q mod n = ((r - 1) mod n(q - 1)) / (q - 1) exactly.  Every other
+    ring, and q in {0, 1}, squares and multiplies M.
+    """
+    if type(ring) is ModularRing and qp > 1:
+        q1 = qp - 1
+        nq1 = ring.n * q1
+        r = pow(qp, k, nq1)
+        return (r - 1) % nq1 // q1, r % ring.n
     s, pw = ring._zero(), ring._one()
     bs, bpw = ring._one(), qp  # M^(2^i)
     while k:

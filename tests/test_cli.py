@@ -178,6 +178,25 @@ def test_verify_missing_q_usage_error(capsys):
     assert main(["verify", "pascal", "--ring", "Z/8"]) == 3
 
 
+def test_verify_sigmaen_takes_q_from_sigma(capsys):
+    # sigma(x) = x - 1 gives q = 1, a unit: 13 orbits, 13 differences, 12 inverse orbits
+    code, out = run_cli(capsys, ["verify", "sigmaen", "--ring", "Z", "--sigma", "x-1"])
+    assert code == 0
+    assert "cases=38 failures=0" in out
+    code, out = run_cli(capsys, ["verify", "sigmaen", "--ring", "Z", "--q", "2", "--sigma", "2*x-1"])
+    assert code == 0
+    assert "cases=26 failures=0" in out
+
+
+@pytest.mark.parametrize("ring, q", [("Z", "2"), ("Z[t]", None)])
+def test_verify_sigmaen_rejects_a_q_that_disagrees_with_sigma(capsys, ring, q):
+    argv = ["verify", "sigmaen", "--ring", ring, "--sigma", "x-1"] + ([] if q is None else ["--q", q])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma gives q = 1, which disagrees with q = " + (q or "t") in captured.err
+
+
 def test_verify_every_identity_has_a_green_configuration():
     # minimal exercise of the whole catalog through the public runner
     cheap = {"n_max": 4, "k_max": 2, "m_max": 4, "nm_max": 4, "r_max": 1, "trials": 2}

@@ -6,6 +6,7 @@ expectation)."""
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from qarith import (
     q_characteristic,
 )
 from qarith.cli import main
+from qarith.qnum import _matrix_power
 from conftest import run_python
 
 # --- plain-int oracles --------------------------------------------------------
@@ -160,6 +162,56 @@ def test_structural_characteristic_respects_bound():
     res = q_characteristic(QContext(ring, ring.from_int(2)))
     assert res.is_unknown and res.bound == 10**6 and res.rule is None
     assert q_characteristic(QContext(ring, ring.from_int(2)), bound=1100000).p == plain_order(2, 1000003)
+
+
+# --- ((k)_q, q^k) on Z/n in closed form ----------------------------------------
+
+
+def square_and_multiply(ring, qp, k):
+    """((k)_q, q^k) as payloads by powering M = [[1, 1], [0, q]]: the generic
+    loop of ``qnum._matrix_power``, pasted here as the oracle for Z/n."""
+    s, pw = ring._zero(), ring._one()
+    bs, bpw = ring._one(), qp
+    while k:
+        if k & 1:
+            s, pw = ring._add(s, ring._mul(pw, bs)), ring._mul(pw, bpw)
+        k >>= 1
+        if k:
+            bs, bpw = ring._add(bs, ring._mul(bpw, bs)), ring._mul(bpw, bpw)
+    return s, pw
+
+
+# primes, prime powers, even and odd composites, up to 10^4
+CLOSED_FORM_MODULI = [2, 3, 5, 13, 1009, 9973, 4, 8, 27, 49, 1024, 3125, 6, 12, 15, 100, 360, 2310, 9999, 10000]
+
+
+def _closed_form_qs(n, rng):
+    nonunit = [q for q in (n // p for p in ntheory.factorize(n)) if 1 < q < n]
+    return sorted({0, 1, 2 % n, n - 1, *nonunit[:2], *(rng.randrange(n) for _ in range(3))})
+
+
+def test_matrix_power_closed_form_matches_square_and_multiply():
+    rng = random.Random(13)
+    for n in CLOSED_FORM_MODULI:
+        ring = ModularRing(n)
+        # every k up to 3n on the small moduli, a stride plus random k on the large
+        if n <= 400:
+            ks = list(range(3 * n + 1))
+        else:
+            ks = list(range(0, 3 * n + 1, 97)) + [rng.randrange(3 * n + 1) for _ in range(200)]
+        ks += [10**30 + rng.randrange(10**6) for _ in range(5)]
+        for q in _closed_form_qs(n, rng):
+            for k in ks:
+                assert _matrix_power(ring, q, k) == square_and_multiply(ring, q, k), (n, q, k)
+
+
+def test_matrix_power_closed_form_at_r_zero():
+    # q = 2 with n(q - 1) = n | 2^k: q^k = 0 mod n(q - 1), and (k)_2 = 2^k - 1 = -1
+    for n in (2, 4, 1024, 2**20):
+        ring = ModularRing(n)
+        for k in range(n.bit_length() - 1, n.bit_length() + 40):
+            assert pow(2, k, n) == 0
+            assert _matrix_power(ring, 2, k) == (n - 1, 0) == square_and_multiply(ring, 2, k), (n, k)
 
 
 def test_rules_on_infinite_rings():

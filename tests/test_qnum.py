@@ -16,11 +16,13 @@ from qarith import (
     ModularRing,
     NotInvertibleError,
     QContext,
+    RingElement,
     UnsupportedError,
     certify_flatness,
     embed_cyclotomic,
     evaluate_factors,
     factor_q_binomial,
+    parse_element,
     parse_ring,
     q_binomial,
     q_characteristic,
@@ -64,6 +66,130 @@ def test_state_examples():
 def test_negative_state_needs_inverse():
     with pytest.raises(NotInvertibleError):
         q_state(_ctx("Z[t]"), -1)
+
+
+class ElementLoops:
+    """q^k, (m)_q, (m)_q! and [n, k]_q from loops on RingElement operators:
+    the element-level caches QContext kept before it kept payloads, pasted
+    here as the oracle for the payload caches."""
+
+    def __init__(self, ring, q):
+        self.ring, self.q, self.qinv = ring, q, q.try_invert()
+        self.pows, self.neg_pows = [ring.one], [ring.one]
+        self.states, self.neg_states = [ring.zero], [ring.zero]
+        self.rows = [[ring.one]]
+
+    def q_power(self, k):
+        if k >= 0:
+            pows = self.pows
+            while len(pows) <= k:
+                pows.append(pows[-1] * self.q)
+            return pows[k]
+        if self.qinv is None:
+            raise NotInvertibleError(f"q = {self.q} is not a unit of {self.ring}")
+        pows = self.neg_pows
+        while len(pows) <= -k:
+            pows.append(pows[-1] * self.qinv)
+        return pows[-k]
+
+    def q_state(self, m):
+        if m >= 0:
+            states = self.states
+            while len(states) <= m:
+                j = len(states) - 1
+                states.append(states[j] + self.q_power(j))
+            return states[m]
+        states = self.neg_states
+        while len(states) <= -m:
+            j = len(states)
+            states.append(states[j - 1] - self.q_power(-j))
+        return states[-m]
+
+    def q_factorial(self, m):
+        value = self.ring.one
+        for j in range(1, m + 1):
+            value = value * self.q_state(j)
+        return value
+
+    def q_binomial(self, n, k):
+        if k > n:
+            return self.ring.zero
+        rows = self.rows
+        while len(rows) <= n:
+            prev = rows[-1]
+            inner = [prev[j - 1] + self.q_power(j) * prev[j] for j in range(1, len(prev))]
+            rows.append([self.ring.one] + inner + [prev[-1]])
+        return rows[n][k]
+
+
+# (ring, q): unit and non-unit q, None for the ring's generator
+CACHE_CONTEXTS = [
+    ("Z", "2"),
+    ("Z", "-1"),
+    ("Q", "2/3"),
+    ("Z/12", "5"),
+    ("Z/12", "2"),
+    ("Z[t]", None),
+    ("Cyclo(7)", None),
+    ("Z[t,1/t]", None),
+    ("Q(t)", None),
+    ("Z/9[X]/(X^2+1)", "X+3"),
+    ("Z/9[X]/(X^2+1)", "3*X"),
+]
+
+
+def _cache_context(spec, q_text):
+    ring = parse_ring(spec)
+    q = ring.generator if q_text is None else parse_element(ring, q_text)
+    return QContext(ring, q), ElementLoops(ring, q)
+
+
+def _same(got, expected, ring):
+    assert isinstance(got, RingElement) and got.ring is ring
+    return got == expected and got.payload == expected.payload
+
+
+@pytest.mark.parametrize("spec, q_text", CACHE_CONTEXTS)
+def test_payload_caches_match_element_loops(spec, q_text):
+    ctx, oracle = _cache_context(spec, q_text)
+    ring = ctx.ring
+    queries = [(name, m) for name in ("power", "state", "factorial") for m in range(-30, 31)]
+    queries += [("binomial", (n, k)) for n in range(31) for k in range(n + 2)]
+    random.Random(spec + str(q_text)).shuffle(queries)  # out of order, so every cache grows in jumps
+    for name, arg in queries:
+        if name == "binomial":
+            assert _same(q_binomial(ctx, *arg), oracle.q_binomial(*arg), ring), (name, arg)
+        elif name == "factorial":
+            if arg < 0:
+                with pytest.raises(DomainError):
+                    q_factorial(ctx, arg)
+            else:
+                assert _same(q_factorial(ctx, arg), oracle.q_factorial(arg), ring), (name, arg)
+        elif arg < 0 and oracle.qinv is None:
+            with pytest.raises(NotInvertibleError):
+                ctx.q_power(arg) if name == "power" else q_state(ctx, arg)
+        elif name == "power":
+            assert _same(ctx.q_power(arg), oracle.q_power(arg), ring), (name, arg)
+        else:
+            assert _same(q_state(ctx, arg), oracle.q_state(arg), ring), (name, arg)
+
+
+@pytest.mark.parametrize("spec, q_text", [("Z", "2"), ("Z/12", "2"), ("Z[t]", None), ("Z/9[X]/(X^2+1)", "3*X")])
+def test_caches_survive_a_refused_negative_index(spec, q_text):
+    ctx, oracle = _cache_context(spec, q_text)
+    assert oracle.qinv is None
+    ring = ctx.ring
+    for m in (-1, -7):
+        with pytest.raises(NotInvertibleError):
+            q_state(ctx, m)
+        with pytest.raises(NotInvertibleError):
+            ctx.q_power(m)
+    for m in range(31):
+        assert _same(q_state(ctx, m), oracle.q_state(m), ring), m
+        assert _same(ctx.q_power(m), oracle.q_power(m), ring), m
+        assert _same(q_factorial(ctx, m), oracle.q_factorial(m), ring), m
+        for k in range(m + 1):
+            assert _same(q_binomial(ctx, m, k), oracle.q_binomial(m, k), ring), (m, k)
 
 
 def test_factorial_examples():
