@@ -24,7 +24,7 @@ import re
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cyclotomic as cyc
@@ -76,7 +76,7 @@ SCHEMA_VERSION = 1
 # element expressions
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()+\-*/^]))")
 
 
 def _int_literal(digits, position=None):
@@ -92,24 +92,15 @@ def _tokenize(text):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos and not m.group(0).strip():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = pos + len(text[pos:]) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group(1) is not None:
-            tokens.append(("int", _int_literal(m.group(1), m.start(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        elif m.group(3) is not None:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-        if m.end() == m.start():
+        if not m:  # trailing whitespace, or a character no token starts with
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
-    remainder = text[pos:].strip()
-    if remainder:
-        raise ParseError(f"unexpected character {remainder[0]!r}", pos)
+        kind = m.lastgroup
+        value, start = m.group(kind), m.start(kind)
+        tokens.append((kind, _int_literal(value, start) if kind == "int" else value, start))
+        pos = m.end()
     return tokens
 
 
@@ -306,13 +297,25 @@ class CaseFailure:
 
 @dataclass
 class VerificationReport:
+    """One identity run; the identity's case loop records into it by ``check`` and ``ensure``."""
+
     identity: str
     ring: str
     q: str | None
     ranges: dict
-    cases: int
-    failures: list
-    seconds: float
+    cases: int = 0
+    failures: list = field(default_factory=list)
+    seconds: float = 0.0
+
+    def check(self, inputs, lhs, rhs):
+        self.cases += 1
+        if lhs != rhs:
+            self.failures.append(CaseFailure(dict(inputs), str(lhs), str(rhs)))
+
+    def ensure(self, inputs, condition, detail):
+        self.cases += 1
+        if not condition:
+            self.failures.append(CaseFailure(dict(inputs), detail, "violated"))
 
     @property
     def exit_code(self):
@@ -356,22 +359,6 @@ class UsageError(Exception):
     """A command line whose options do not fit together (exit code 3)."""
 
 
-class _Recorder:
-    def __init__(self):
-        self.cases = 0
-        self.failures = []
-
-    def check(self, inputs, lhs, rhs):
-        self.cases += 1
-        if lhs != rhs:
-            self.failures.append(CaseFailure(dict(inputs), str(lhs), str(rhs)))
-
-    def ensure(self, inputs, condition, detail):
-        self.cases += 1
-        if not condition:
-            self.failures.append(CaseFailure(dict(inputs), detail, "violated"))
-
-
 def _sigma_algebra(ring, sigma_text):
     """R[x] with sigma(x) given by an element expression in x."""
     alg = TwistedAlgebra(ring, ("x",))
@@ -413,6 +400,14 @@ class _Env:
             return certify_flatness(ctx)
         except UnsupportedError as exc:
             raise HypothesesUnmet(f"flatness certification unsupported: {exc}")
+
+    def flat_char(self):
+        """The quantum characteristic p of a q-flat ring, the paper's standing
+        hypothesis; finiteness of p is checked first."""
+        p = self.finite_char()
+        if not self.flat_certificate().flat:
+            raise HypothesesUnmet("ring is not q-flat")
+        return p
 
     def affine_algebra(self):
         """Univariate algebra R[x] with sigma from --sigma, or q*x + h."""
@@ -498,10 +493,7 @@ def _iv_divp(env, rec):
 
 
 def _iv_even(env, rec):
-    cert = env.flat_certificate()
-    if not cert.flat:
-        raise HypothesesUnmet("ring is not q-flat")
-    p = env.finite_char()
+    p = env.flat_char()
     if p % 2 == 0:
         k = p // 2
         rec.check({"p": p, "k": k}, env.ctx.q_power(k), -env.ring.one)
@@ -509,17 +501,14 @@ def _iv_even(env, rec):
 
 def _iv_prim(env, rec):
     p = env.finite_char()
-    if p >= 2 and all(p % d for d in range(2, p)):
+    if is_prime(p):
         cert = env.flat_certificate()
         rec.ensure({"p": p}, cert.divisible, "divisible for prime quantum characteristic")
 
 
 def _iv_qbin_vanish(env, rec):
     ctx = env.require_q()
-    p = env.finite_char()
-    cert = env.flat_certificate()
-    if not cert.flat:
-        raise HypothesesUnmet("ring is not q-flat")
+    p = env.flat_char()
     for k in range(p + 1):
         expected = env.ring.one if k in (0, p) else env.ring.zero
         rec.check({"p": p, "k": k}, q_binomial(ctx, p, k), expected)
@@ -561,10 +550,7 @@ def _iv_chu_vandermonde(env, rec):
 
 def _iv_lucas(env, rec):
     ctx = env.require_q()
-    p = env.finite_char()
-    cert = env.flat_certificate()
-    if not cert.flat:
-        raise HypothesesUnmet("ring is not q-flat")
+    p = env.flat_char()
     n_max, k_max = env.ranges["n_max"], env.ranges["k_max"]
     for n in range(n_max + 1):
         for k in range(k_max + 1):
@@ -640,18 +626,8 @@ def _iv_rational_state(env, rec):
     one = ctx.ring.one
     r_max = env.ranges["r_max"]
     grid = [Fraction(a, L) for a in range(-r_max * L, r_max * L + 1)]
-    states, powers = {}, {}
-
-    def st(r):
-        if r not in states:
-            states[r] = q_state_rational(sys_, r)
-        return states[r]
-
-    def pw(r):
-        if r not in powers:
-            powers[r] = rational_power(sys_, r)
-        return powers[r]
-
+    st = functools.cache(functools.partial(q_state_rational, sys_))
+    pw = functools.cache(functools.partial(rational_power, sys_))
     for r in env.pick(grid):
         rec.check({"law": "explicit", "r": r}, (one - ctx.q) * st(r), one - pw(r))
         if r.denominator == 1:
@@ -681,18 +657,15 @@ def _iv_rational_state(env, rec):
 def _iv_sigmaen(env, rec):
     alg = env.affine_algebra()
     q, h = _affine_data(alg)
-    if env.q is None:  # --sigma fixes q
-        ctx = QContext(env.ring, q)
-    elif env.q == q:
-        ctx = env.ctx
-    else:
+    if env.q is not None and env.q != q:
         raise DomainError(f"sigma gives q = {q}, which disagrees with q = {env.q}")
+    ctx = QContext(env.ring, q)
     x = alg.gen(alg.gens[0])
     n_max = env.ranges["n_max"]
     for n in env.pick(range(n_max + 1)):
-        orbit = affine_orbit(alg, n)  # cross-checks against iteration internally
+        orbit = alg.sigma_iter(x, n)
         rec.check({"n": n}, orbit, alg.scalar(ctx.q_power(n)) * x + alg.scalar(q_state(ctx, n) * h))
-        rec.check({"law": "difference", "n": n}, x - alg.sigma_iter(x, n), alg.scalar(q_state(ctx, n)) * (x - alg.sigma(x)))
+        rec.check({"law": "difference", "n": n}, x - orbit, alg.scalar(q_state(ctx, n)) * (x - alg.sigma(x)))
     if ctx.q_inverse is not None:
         for n in env.pick(range(1, n_max + 1)):
             back = affine_orbit(alg, -n)
@@ -741,22 +714,15 @@ def _iv_mov(env, rec):
 
 
 def _iv_twisted_binomial(env, rec):
-    ctx = env.require_q()
-    alg = TwistedAlgebra(env.ring, ("x", "y"))
-    alg.set_sigma({"x": alg.scalar(ctx.q) * alg.gen("x")})
+    alg = TwistedAlgebra.diagonal(env.ring, {"x": env.require_q().q, "y": 1})
     for n in env.pick(range(env.ranges["n_max"] + 1)):
         report = twisted_binomial_check(alg, alg.gen("x"), alg.gen("y"), n)
         rec.check({"n": n}, report.lhs, report.rhs)
 
 
 def _iv_frobenius(env, rec):
-    ctx = env.require_q()
-    p = env.finite_char()
-    cert = env.flat_certificate()
-    if not cert.flat:
-        raise HypothesesUnmet("ring is not q-flat")
-    alg = TwistedAlgebra(env.ring, ("x", "y"))
-    alg.set_sigma({"x": alg.scalar(ctx.q) * alg.gen("x")})
+    p = env.flat_char()
+    alg = TwistedAlgebra.diagonal(env.ring, {"x": env.ctx.q, "y": 1})
     x, y = alg.gen("x"), alg.gen("y")
     rec.check(
         {"p": p},
@@ -826,6 +792,9 @@ IDENTITIES = {
     "artin_schreier": (_iv_artin_schreier, {}),
     "sign_rule": (_iv_sign_rule, {}),
 }
+# the identities that read --sigma and --h; giving either to any other is an error
+_READS_SIGMA = frozenset({"sigmaen", "sigit", "mov"})
+_READS_H = _READS_SIGMA | {"artin_schreier"}
 
 
 def run_identity(name, ring, q, ranges=None, sample=None, seed=0, sigma_text=None, h_text=None) -> VerificationReport:
@@ -834,24 +803,22 @@ def run_identity(name, ring, q, ranges=None, sample=None, seed=0, sigma_text=Non
         raise DomainError(f"unknown identity {name!r}")
     if sample is not None and sample < 0:
         raise DomainError(f"sample must be non-negative, got {sample}")
+    if sigma_text is not None and h_text is not None:
+        raise DomainError("--sigma fixes q and h, so --h cannot be given with it")
+    if sigma_text is not None and name not in _READS_SIGMA:
+        raise DomainError(f"identity {name} does not read --sigma")
+    if h_text is not None and name not in _READS_H:
+        raise DomainError(f"identity {name} does not read --h")
     fn, defaults = IDENTITIES[name]
     merged = dict(defaults)
     if ranges:
         merged.update({k: v for k, v in ranges.items() if v is not None})
     env = _Env(ring, q, merged, sample=sample, seed=seed, sigma_text=sigma_text, h_text=h_text)
-    rec = _Recorder()
+    report = VerificationReport(name, str(ring), _str(q), merged)
     start = time.perf_counter()
-    fn(env, rec)
-    elapsed = time.perf_counter() - start
-    return VerificationReport(
-        identity=name,
-        ring=str(ring),
-        q=None if q is None else str(q),
-        ranges=merged,
-        cases=rec.cases,
-        failures=rec.failures,
-        seconds=elapsed,
-    )
+    fn(env, report)
+    report.seconds = time.perf_counter() - start
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +855,11 @@ def _resolve_ring_q(args, q_mode):
     """The ring of --ring, and q from --q or else the ring's generator.
 
     A missing q is an error for q_mode "default" and stays None for
-    "optional"; q_mode None takes no q at all.
+    "optional", which also takes no generator when --sigma fixes q;
+    q_mode None takes no q at all.
     """
     ring = parse_ring(args.ring)
-    if q_mode is None:
+    if q_mode is None or q_mode == "optional" and args.q is None and args.sigma is not None:
         return ring, None
     q = parse_element(ring, args.q) if args.q is not None else ring.generator
     if q is None and q_mode == "default":
@@ -1041,8 +1009,8 @@ _COMMANDS = {
         *(_arg("--" + k.replace("_", "-"), type=_count, dest=k) for k in _RANGES),
         _arg("--sample", type=_count, help="randomly sample this many outer cases"),
         _arg("--seed", type=int, default=0),
-        _arg("--sigma", help="sigma image for the twisted identities"),
-        _arg("--h", dest="h_text", help="shift element for sigmaen/artin_schreier"),
+        _arg("--sigma", help="image of x for sigmaen/sigit/mov; fixes q and h"),
+        _arg("--h", dest="h_text", help="shift h for sigmaen/sigit/mov/artin_schreier"),
     ), echo=("identity",), q="optional", error_code=3),
     "table": _Command("emit a CSV/JSON table", _table, (
         _arg("kind", choices=list(_TABLES)),

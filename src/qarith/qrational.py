@@ -36,9 +36,6 @@ class DenominatorSet:
     closure: tuple
     generator: int
 
-    def covers(self, n: int) -> bool:
-        return n in self.closure
-
     def contains(self, r) -> bool:
         """Membership of r in the generated monoid N*(1/generator)."""
         r = Fraction(r)
@@ -72,9 +69,6 @@ class RootSystem:
         self.admissible = admissible
         self.nonadmissible_n = nonadmissible_n
         self._contexts = {}
-
-    def root(self, n: int) -> RingElement:
-        return self.roots[n]
 
     def root_context(self, n: int) -> QContext:
         ctx = self._contexts.get(n)

@@ -241,7 +241,6 @@ class Ring:
     is_domain = False
     is_field = False
     torsion_free = False  # additive group has no Z-torsion
-    commutative = True
     characteristic = 0
 
     # --- payload protocol (subclasses implement) ---
@@ -789,8 +788,6 @@ class PolynomialRing(Ring):
     """Univariate polynomials over a base ring, dense payload tuples."""
 
     def __init__(self, base, var="t"):
-        if not base.commutative:
-            raise DomainError("polynomial base must be commutative")
         self.base = base
         self.var = var
         self.is_domain = base.is_domain

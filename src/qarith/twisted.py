@@ -51,8 +51,6 @@ class TwistedAlgebra(Ring):
     """R[x1,...,xg] with an endomorphism fixing R, as sparse exponent maps."""
 
     def __init__(self, base, gens):
-        if not base.commutative:
-            raise DomainError("twisted algebras need a commutative base")
         self.base = base
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):

@@ -2,13 +2,17 @@
 
 import json
 import random
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith import DomainError, ParseError, parse_element, parse_ring
 from qarith import cli
 from qarith.cli import CaseFailure, VerificationReport, main, run_identity
+from qarith.twisted import TwistedAlgebra
 from conftest import RING_SPECS, run_python
 
 
@@ -39,6 +43,53 @@ def test_parse_element_examples():
     assert parse_element(qt, "-(1+t)/t^2").payload == ((-1, -1), (0, 0, 1))
     p6 = parse_ring("Q(t^(1/6))")
     assert parse_element(p6, "t^(1/2)") == p6.generator ** __import__("fractions").Fraction(1, 2)
+
+
+# the tokenizer as it stood before its unreachable branches were dropped
+_OLD_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+
+
+def _old_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos and not m.group(0).strip():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = pos + len(text[pos:]) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        if m.group(1) is not None:
+            tokens.append(("int", cli._int_literal(m.group(1), m.start(1)), m.start(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2), m.start(2)))
+        elif m.group(3) is not None:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+        if m.end() == m.start():
+            break
+    remainder = text[pos:].strip()
+    if remainder:
+        raise ParseError(f"unexpected character {remainder[0]!r}", pos)
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# ASCII atoms and operators, Unicode digits and spaces, and characters no token starts with
+_TOKEN_ALPHABET = "0123456789tTx_ab()+-*/^ \t\n\x0b\xa0\u2003\u0663\u096b$#.,é\x00"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(alphabet=_TOKEN_ALPHABET, max_size=12), st.text(max_size=8)))
+def test_tokenize_matches_the_old_tokenizer(text):
+    assert _tokens_or_error(cli._tokenize, text) == _tokens_or_error(_old_tokenize, text)
 
 
 def test_parse_element_implicit_multiplication():
@@ -188,13 +239,92 @@ def test_verify_sigmaen_takes_q_from_sigma(capsys):
     assert "cases=26 failures=0" in out
 
 
-@pytest.mark.parametrize("ring, q", [("Z", "2"), ("Z[t]", None)])
+@pytest.mark.parametrize("ring, q", [("Z", "2"), ("Z[t]", "t")])
 def test_verify_sigmaen_rejects_a_q_that_disagrees_with_sigma(capsys, ring, q):
-    argv = ["verify", "sigmaen", "--ring", ring, "--sigma", "x-1"] + ([] if q is None else ["--q", q])
+    argv = ["verify", "sigmaen", "--ring", ring, "--sigma", "x-1", "--q", q]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "sigma gives q = 1, which disagrees with q = " + (q or "t") in captured.err
+    assert f"sigma gives q = 1, which disagrees with q = {q}" in captured.err
+
+
+@pytest.mark.parametrize("identity, cases", [("sigmaen", 38), ("sigit", 160)])
+def test_verify_sigma_fixes_q_on_a_ring_with_a_generator(capsys, identity, cases):
+    # without --q, the ring's generator t is not taken as q when --sigma gives q = 1
+    code, out = run_cli(capsys, ["verify", identity, "--ring", "Z[t]", "--sigma", "x-1"])
+    assert code == 0
+    assert out.startswith(f"identity={identity} ring=Z[t] cases={cases} failures=0 ")
+    code, out = run_cli(capsys, ["verify", identity, "--ring", "Z[t]", "--sigma", "x-1", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] is None and payload["report"]["q"] is None
+    assert payload["report"]["cases"] == cases
+
+
+def test_verify_sigmaen_records_a_wrong_orbit_as_a_counterexample(capsys, monkeypatch):
+    # sigma^n(x) from iteration is compared with the closed form case by case,
+    # so a disagreement is a counterexample (exit 1), not an internal error
+    sigma_iter = TwistedAlgebra.sigma_iter
+
+    def off_at_two(self, f, k):
+        out = sigma_iter(self, f, k)
+        return out + 1 if k == 2 else out
+
+    monkeypatch.setattr(TwistedAlgebra, "sigma_iter", off_at_two)
+    code, out = run_cli(capsys, ["verify", "sigmaen", "--ring", "Z", "--sigma", "x-1"])
+    assert code == 1
+    assert "cases=38 failures=3" in out
+    assert "FAIL n=2 lhs=-1 + x rhs=-2 + x" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sigmaen", "--ring", "Z", "--q", "2", "--sigma", "2*x-1", "--h", "5"],
+         "--sigma fixes q and h, so --h cannot be given with it"),
+        (["frobenius", "--ring", "Z/5", "--q", "2", "--sigma", "x+1"], "identity frobenius does not read --sigma"),
+        (["artin_schreier", "--ring", "Z/5", "--sigma", "x+1"], "identity artin_schreier does not read --sigma"),
+        (["pascal", "--ring", "Z[t]", "--h", "2"], "identity pascal does not read --h"),
+        (["sign_rule", "--ring", "Cyclo(3)", "--h", "2", "--json"], "identity sign_rule does not read --h"),
+    ],
+)
+def test_verify_rejects_sigma_and_h_it_would_drop(capsys, argv, message):
+    assert main(["verify"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigmaen", "--ring", "Z", "--q", "2", "--h", "5"],
+        ["sigit", "--ring", "Z/5", "--q", "2", "--h", "3"],
+        ["mov", "--ring", "Z/5", "--q", "2", "--h", "3"],
+        ["artin_schreier", "--ring", "Z/5", "--h", "3"],
+        ["mov", "--ring", "Z", "--sigma", "x-1"],
+    ],
+)
+def test_verify_sigma_and_h_still_reach_the_identities_that_read_them(capsys, argv):
+    code, out = run_cli(capsys, ["verify"] + argv)
+    assert code == 0
+    assert "failures=0" in out
+
+
+@pytest.mark.parametrize("identity", ["even", "qbin_vanish", "lucas", "frobenius"])
+@pytest.mark.parametrize(
+    "ring, q, message",
+    [
+        ("Z/8", "3", "ring is not q-flat"),
+        # neither hypothesis holds: finiteness of the characteristic is checked first
+        ("Z/12", "2", "quantum characteristic is 0 (certified), need finite"),
+    ],
+)
+def test_verify_gate_is_flat_with_finite_characteristic(capsys, identity, ring, q, message):
+    assert main(["verify", identity, "--ring", ring, "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hypotheses unmet: {message}\n"
 
 
 def test_verify_every_identity_has_a_green_configuration():
