@@ -27,7 +27,6 @@ from .rings import (
     QQ,
     ZI,
     CyclotomicRing,
-    GaussianRing,
     IntegerRing,
     LaurentRing,
     ModularRing,

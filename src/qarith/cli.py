@@ -3,8 +3,11 @@
 Ring grammar::
 
     ring := "Z" | "Z/" nat | "Z[i]" | "Z[t]" | "Z[t,1/t]" | "Q(t)"
-          | "Cyclo(" nat ")" | ("Z/" nat | "Q") "[" var "]/(" poly ")"
+          | "Cyclo(" nat ")" | ("Z" | "Z/" nat | "Q") "[" var "]/(" poly ")"
           | "Q(t^(1/" nat "))"
+
+``Z[i]`` is ``Z[i]/(1 + i^2)``, a modulus over ``Z`` must be monic up to
+sign, and ``Cyclo(n)`` needs phi(n) <= ``CYCLO_MAX_PHI``.
 
 Elements use ASCII expressions in the ring's atoms: integer literals, the
 ring variable (``i`` for Z[i]), ``+ - * / ^`` and parentheses;  fractional
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from . import cyclotomic as cyc
 from .errors import DomainError, NotInvertibleError, ParseError, QArithError, UnsupportedError
-from .ntheory import is_prime
+from .ntheory import is_prime, totient
 from .qnum import (
     QContext,
     certify_flatness,
@@ -201,7 +204,9 @@ class _ExprParser:
             num = self.take("int")[1]
             if self.peek()[:2] == ("op", "/"):
                 self.take()
-                den = self.take("int")[1]
+                _, den, pos = self.take("int")
+                if den == 0:
+                    raise ParseError("zero denominator in exponent", pos)
                 out = Fraction(sign * num, den)
             else:
                 out = sign * num
@@ -236,7 +241,15 @@ def parse_element(ring: Ring, text: str) -> RingElement:
 # ring grammar
 # ---------------------------------------------------------------------------
 
-_QUOT_RE = re.compile(r"(Z/(\d+)|Q)\[([A-Za-z])\]/\((.*)\)\s*$")
+# Largest phi(n), the degree of chi_n, that parse_ring accepts in Cyclo(n),
+# checked before chi_n is built.  Building chi_n is slowest for n with many
+# small prime factors: under this cap the slowest found, n = 3570 and 4290,
+# take 0.13-0.3 s in-process and the whole `qint --ring 'Cyclo(4290)' 3`
+# about 0.45 s (CPython 3.11, shared 2-vCPU x86-64), where Cyclo(1000003)
+# took 0.9-1.0 s with no cap.
+CYCLO_MAX_PHI = 1024
+
+_QUOT_RE = re.compile(r"(Z/(\d+)|Q|Z)\[([A-Za-z])\]/\((.*)\)\s*$")
 _MOD_RE = re.compile(r"Z/(\d+)\s*$")
 _POLY_RE = re.compile(r"Z\[([A-Za-z])\]\s*$")
 _LAURENT_RE = re.compile(r"Z\[([A-Za-z]),\s*1/([A-Za-z])\]\s*$")
@@ -256,7 +269,7 @@ def parse_ring(text: str) -> Ring:
         return ZI
     m = _QUOT_RE.match(s)
     if m:
-        base = QQ if m.group(1) == "Q" else ModularRing(_int_literal(m.group(2)))
+        base = {"Q": QQ, "Z": ZZ}.get(m.group(1)) or ModularRing(_int_literal(m.group(2)))
         polyring = PolynomialRing(base, m.group(3))
         modulus = parse_element(polyring, m.group(4))
         return QuotientRing(polyring, modulus)
@@ -279,7 +292,13 @@ def parse_ring(text: str) -> Ring:
         return RationalFunctionField(m.group(1))
     m = _CYCLO_RE.match(s)
     if m:
-        return CyclotomicRing(_int_literal(m.group(1)))
+        n = _int_literal(m.group(1))
+        cap = f"above the cap CYCLO_MAX_PHI = {CYCLO_MAX_PHI}"
+        if n > 2 * CYCLO_MAX_PHI**2 + 2:  # phi(n) >= sqrt(n/2), so n need not be factored
+            raise ParseError(f"Cyclo({n}): phi(n) >= {math.isqrt(n // 2)} is {cap}")
+        if n > CYCLO_MAX_PHI and totient(n) > CYCLO_MAX_PHI:  # phi(n) < n
+            raise ParseError(f"Cyclo({n}): phi(n) = {totient(n)} is {cap}")
+        return CyclotomicRing(n)
     raise ParseError(f"unrecognized ring {text!r}")
 
 

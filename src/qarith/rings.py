@@ -6,7 +6,6 @@ equality is ring equality and every operation returns a normalized result:
 * ``Z``            -- plain int
 * ``Q``            -- int when integral, else Fraction with denominator > 1
 * ``Z/n``          -- residue in [0, n)
-* ``Z[i]``         -- pair (a, b) for a + b*i
 * ``R[x]``         -- tuple of base payloads, constant first, no trailing zeros
 * ``Z[t,1/t]``     -- sorted tuple of (exponent, coefficient), coefficients nonzero
 * ``Q(t)``         -- pair (num, den) of integer polynomial tuples; num/den coprime,
@@ -82,13 +81,18 @@ def _decimal(x):
         ) from None
 
 
+# Largest degree n for which the cyclotomic indices m with phi(m) <= n are
+# scanned; phi(m) >= sqrt(m/2), so they all lie below 2n^2 + 3.
+CYCLOTOMIC_SCAN_DEGREE = 16
+
+
 def _qalg_torsion_bound(n):
     """Largest possible order of a root of unity in a Q-algebra of dimension n.
 
     If q^m = 1 then Q[q] is a product of cyclotomic fields Q(zeta_d) with
     lcm of the d equal to the order of q and total degree at most n.
     """
-    if n > 16:
+    if n > CYCLOTOMIC_SCAN_DEGREE:
         return None
     cands = [m for m in range(1, 2 * n * n + 3) if ntheory.totient(m) <= n]
     best = {1: 0}
@@ -100,6 +104,15 @@ def _qalg_torsion_bound(n):
             if nc <= n and best.get(nl, n + 1) > nc:
                 best[nl] = nc
     return max(best)
+
+
+def _is_cyclotomic(mu):
+    """Whether the monic polynomial mu is chi_m for some m; False above
+    degree CYCLOTOMIC_SCAN_DEGREE, where no m is tried."""
+    d = len(mu) - 1
+    return d <= CYCLOTOMIC_SCAN_DEGREE and any(
+        ntheory.totient(m) == d and cyclotomic_poly(m) == mu for m in range(1, 2 * d * d + 3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,71 +538,6 @@ def _memo(ring, attr, compute):
     if isinstance(value, UnsupportedError):
         raise UnsupportedError(str(value))
     return value
-
-
-class GaussianRing(Ring):
-    """Gaussian integers Z[i] as pairs (a, b) = a + b*i."""
-
-    is_domain = True
-    torsion_free = True
-
-    def normalize(self, payload):
-        a, b = payload
-        return (as_int(a), as_int(b))
-
-    def _add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    def _neg(self, x):
-        return (-x[0], -x[1])
-
-    def _mul(self, x, y):
-        a, b = x
-        c, d = y
-        return (a * c - b * d, a * d + b * c)
-
-    def _invert(self, x):
-        a, b = x
-        if a * a + b * b != 1:
-            return None
-        return (a, -b)
-
-    def _zero(self):
-        return (0, 0)
-
-    def _one(self):
-        return (1, 0)
-
-    def _from_int(self, n):
-        return (n, 0)
-
-    def _text(self, x):
-        a, b = x
-        if b == 0:
-            return _decimal(a)
-        ib = "i" if abs(b) == 1 else f"{_decimal(abs(b))}*i"
-        if a == 0:
-            return ib if b > 0 else f"-{ib}"
-        return f"{_decimal(a)}+{ib}" if b > 0 else f"{_decimal(a)}-{ib}"
-
-    def descriptor(self):
-        return ("Z[i]",)
-
-    def _name(self):
-        return "Z[i]"
-
-    @property
-    def generator(self):
-        return RingElement(self, (0, 1))
-
-    def atoms(self):
-        return {"i": (0, 1)}
-
-    def random_element(self, rng):
-        return RingElement(self, (rng.randint(-9, 9), rng.randint(-9, 9)))
-
-    def root_of_unity_order_bound(self):
-        return 4
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1077,9 @@ class QuotientRing(Ring):
     with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Nothing
     enumerates the ring, but n must factor (``ModularRing.factors``).  Over
     Z (mu monic) a unit is an element whose inverse over Q has integer
-    coefficients; annihilators over Z raise UnsupportedError.
+    coefficients; annihilators over Z raise UnsupportedError.  A modulus
+    chi_m over Z or Q, up to a unit and of degree at most
+    ``CYCLOTOMIC_SCAN_DEGREE``, makes the ring a domain (over Q a field).
     """
 
     def __init__(self, polyring, modulus):
@@ -1153,6 +1103,11 @@ class QuotientRing(Ring):
         self.torsion_free = self.base.torsion_free
         self.characteristic = self.base.characteristic
         self._fields = None
+        # B[x]/(chi_m) is Z[zeta_m] or Q(zeta_m); Cyclo(m) sets the flag itself
+        if not self.is_domain and type(self.base) in (IntegerRing, RationalField):
+            if _is_cyclotomic(dense_scale(self.base, modulus, modulus[-1])):
+                self.is_domain = True
+                self.is_field = self.base.is_field
 
     def normalize(self, payload):
         _, r = dense_divmod(self.base, self.polyring.normalize(payload), self.modulus)
@@ -1275,7 +1230,8 @@ class QuotientRing(Ring):
         return self.element(tuple(self.base.random_element(rng).payload for _ in range(d)))
 
     def root_of_unity_order_bound(self):
-        if self.base == RationalField():
+        # Z[x]/(mu) embeds in the Q-algebra Q[x]/(mu), since mu is monic
+        if type(self.base) in (IntegerRing, RationalField):
             return _qalg_torsion_bound(len(self.modulus) - 1)
         return None
 
@@ -1323,7 +1279,7 @@ class CyclotomicRing(QuotientRing):
 # canonical shared instances
 ZZ = IntegerRing()
 QQ = RationalField()
-ZI = GaussianRing()
+ZI = QuotientRing(PolynomialRing(ZZ, "i"), cyclotomic_poly(4))
 
 
 # ---------------------------------------------------------------------------

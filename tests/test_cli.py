@@ -1,6 +1,7 @@
 """CLI: grammar round-trips, eval commands, verify exit codes, tables, JSON."""
 
 import json
+import math
 import random
 import re
 import sys
@@ -19,7 +20,7 @@ from conftest import RING_SPECS, run_python
 # --- parsing -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", RING_SPECS)
+@pytest.mark.parametrize("spec", RING_SPECS + ["Z[X]/(X^2+X+1)"])
 def test_ring_parse_print_parse_identity(spec):
     ring = parse_ring(spec)
     assert parse_ring(str(ring)) == ring
@@ -162,6 +163,24 @@ def test_qflat_command(capsys):
     code, out = run_cli(capsys, ["qflat", "--ring", "Z[i]", "--q", "i"])
     assert code == 0
     assert "flat=true" in out and "divisible=false" in out and "m=2" in out
+
+
+def test_gaussian_integers_print_as_a_quotient(capsys):
+    code, out = run_cli(capsys, ["qint", "--ring", "Z[i]", "--q", "1+2*i", "3"])
+    assert (code, out) == (0, "-1 + 6*i")
+    code, out = run_cli(capsys, ["qint", "--ring", "Z[i]", "--q", "i", "2", "--json"])
+    assert code == 0 and json.loads(out)["ring"] == "Z[i]/(1 + i^2)"
+
+
+@pytest.mark.parametrize("spec", ["Z[X]/(X^2+X+1)", "Q[X]/(X^2+X+1)"])
+def test_qflat_on_a_cyclotomic_quotient(capsys, spec):
+    code, out = run_cli(capsys, ["qflat", "--ring", spec, "--q", "X"])
+    assert (code, out) == (0, "flat=true divisible=true")
+
+
+def test_quotient_over_z_needs_a_monic_modulus(capsys):
+    assert main(["qint", "--ring", "Z[X]/(2*X^2+1)", "3"]) == 1
+    assert "unit leading coefficient" in capsys.readouterr().err
 
 
 def test_tpow_and_expand(capsys):
@@ -612,3 +631,34 @@ def test_result_past_the_digit_limit_is_an_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("ring", ["Z[t]", "Q(t^(1/6))"])
+def test_zero_exponent_denominator_is_a_parse_error(capsys, ring):
+    assert main(["qint", "--ring", ring, "--q", "t^(1/0)", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "zero denominator in exponent (at position 5)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "n, phi",
+    [(1000003, "= 1000002"), (1031, "= 1030"), (10**30 + 57, f">= {math.isqrt((10**30 + 57) // 2)}")],
+)
+def test_cyclo_above_the_phi_cap_is_refused_before_building(capsys, monkeypatch, n, phi):
+    def refuse(n):
+        raise AssertionError(f"built Cyclo({n})")
+
+    monkeypatch.setattr(cli, "CyclotomicRing", refuse)
+    assert main(["qint", "--ring", f"Cyclo({n})", "3"]) == 1
+    err = capsys.readouterr().err
+    assert f"phi(n) {phi} is above the cap CYCLO_MAX_PHI = {cli.CYCLO_MAX_PHI}" in err
+    assert "Traceback" not in err
+
+
+def test_cyclo_at_the_phi_cap_is_accepted(capsys):
+    # 1021 is the largest prime p with p - 1 <= 1024
+    assert cli.CYCLO_MAX_PHI == 1024
+    code, out = run_cli(capsys, ["qint", "--ring", "Cyclo(1021)", "3"])
+    assert (code, out) == (0, "1 + t + t^2")
+    assert parse_ring("Cyclo(4620)").p == 4620  # phi = 960, many prime factors

@@ -10,7 +10,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import ZZ, CyclotomicRing, PolynomialRing, QuotientRing, cyclotomic_poly
+from qarith import (
+    ZZ,
+    CyclotomicRing,
+    PolynomialRing,
+    QContext,
+    QuotientRing,
+    certify_flatness,
+    cyclotomic_poly,
+    is_zero_divisor,
+    parse_element,
+    q_characteristic,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,6 +116,21 @@ def test_cyclo_3_generator_is_a_unit_of_the_plain_quotient():
 
 def _plain(mu):
     return QuotientRing(PolynomialRing(ZZ, "t"), mu)
+
+
+# --- the plain quotient by chi_p is a domain, like Cyclo(p) -----------------------
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 12])
+def test_plain_quotient_certifies_like_cyclo(p):
+    cyclo, quot = _pair(p)
+    assert quot.is_domain and not quot.is_field
+    for q in ("t", "1 + t", "2", "t - 1", "3 + t"):
+        c_ctx = QContext(cyclo, parse_element(cyclo, q))
+        p_ctx = QContext(quot, parse_element(quot, q))
+        assert certify_flatness(p_ctx) == certify_flatness(c_ctx), (p, q)
+        assert q_characteristic(p_ctx) == q_characteristic(c_ctx), (p, q)
+    assert not is_zero_divisor(quot.generator + 1)
 
 
 def test_units_modulo_a_reducible_monic():

@@ -6,23 +6,29 @@ from fractions import Fraction
 import pytest
 
 from qarith import (
+    QQ,
     ZI,
     ZZ,
     CyclotomicRing,
     LaurentRing,
     ModularRing,
     PolynomialRing,
+    QContext,
     QuotientRing,
     RationalFunctionField,
     RingMismatchError,
     TwistedAlgebra,
     UnsupportedError,
     DomainError,
+    cyclotomic_poly,
     enumerate_ring,
     is_zero_divisor,
     parse_ring,
+    q_characteristic,
     try_invert,
 )
+from qarith import rings, zpoly
+from qarith.ntheory import totient
 from conftest import RING_SPECS, run_python
 
 
@@ -280,3 +286,109 @@ def test_integer_payloads_are_accepted():
     assert ModularRing(7).element(-1) == ModularRing(7).from_int(6)
     assert LaurentRing(ZZ).element(((-2, 3), (-2, -3), (1, 1))).payload == ((1, 1),)
     assert TwistedAlgebra(ZZ, ("x",)).element((((2,), 1),)).payload == (((2,), 1),)
+
+
+# Z[i] as pairs (a, b) = a + b*i: the formulas of the class Z[i] had before
+# it became the quotient Z[i]/(1 + i^2)
+def _gauss_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _gauss_mul(x, y):
+    a, b = x
+    c, d = y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _gauss_invert(x):
+    a, b = x
+    return (a, -b) if a * a + b * b == 1 else None
+
+
+def test_zi_matches_the_gaussian_pair_formulas():
+    rng = random.Random(16)
+    pairs = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -3)]
+    pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(100)]
+    for x in pairs:
+        a = ZI.element(x)
+        for y in rng.sample(pairs, 10):
+            b = ZI.element(y)
+            assert a + b == ZI.element(_gauss_add(x, y))
+            assert a * b == ZI.element(_gauss_mul(x, y))
+        inv = _gauss_invert(x)
+        assert a.try_invert() == (None if inv is None else ZI.element(inv))
+
+
+def test_zi_is_the_quotient_by_chi_4():
+    assert ZI == QuotientRing(PolynomialRing(ZZ, "i"), cyclotomic_poly(4))
+    assert parse_ring("Z[i]") is ZI
+    assert str(ZI) == "Z[i]/(1 + i^2)"
+    assert str(ZI.element((3, 2))) == "3 + 2*i"
+    assert ZI.is_domain and not ZI.is_field and ZI.torsion_free
+
+
+# every m with phi(m) <= CYCLOTOMIC_SCAN_DEGREE
+_SMALL_PHI = [m for m in range(1, 2 * 16**2 + 3) if totient(m) <= rings.CYCLOTOMIC_SCAN_DEGREE]
+
+
+@pytest.mark.parametrize("base", [ZZ, QQ], ids=["Z", "Q"])
+def test_cyclotomic_modulus_makes_a_domain(base):
+    poly = PolynomialRing(base, "x")
+    for m in _SMALL_PHI:
+        chi = cyclotomic_poly(m)
+        for mu in (chi, tuple(-c for c in chi)):
+            ring = QuotientRing(poly, mu)
+            assert ring.is_domain, m
+            assert ring.is_field == (base is QQ), m
+    if base is QQ:
+        assert QuotientRing(poly, tuple(3 * c for c in cyclotomic_poly(5))).is_field
+
+
+@pytest.mark.parametrize("base", [ZZ, QQ], ids=["Z", "Q"])
+@pytest.mark.parametrize(
+    "mu",
+    [
+        zpoly.mul(cyclotomic_poly(3), cyclotomic_poly(4)),
+        (2, 0, 1),
+        (-1, 0, 1),
+        cyclotomic_poly(19),  # degree 18, above the scan
+    ],
+    ids=["chi3*chi4", "x^2+2", "x^2-1", "chi19"],
+)
+def test_other_moduli_are_not_flagged(base, mu):
+    ring = QuotientRing(PolynomialRing(base, "x"), mu)
+    assert not ring.is_domain and not ring.is_field
+
+
+def test_cyclotomic_scan_tries_only_indices_of_the_right_degree(monkeypatch):
+    tried = []
+
+    def spy(m):
+        tried.append(m)
+        return cyclotomic_poly(m)
+
+    monkeypatch.setattr(rings, "cyclotomic_poly", spy)
+    for mu in ((2, 0, 1), cyclotomic_poly(17), zpoly.mul(cyclotomic_poly(5), cyclotomic_poly(7))):
+        QuotientRing(PolynomialRing(QQ, "x"), mu)
+        d = len(mu) - 1
+        assert tried and all(totient(m) == d for m in tried), (mu, tried)
+        tried.clear()
+
+
+def test_cyclotomic_scan_skips_cyclo_and_z_mod_n(monkeypatch):
+    def refuse(mu):
+        raise AssertionError(f"scanned {mu}")
+
+    monkeypatch.setattr(rings, "_is_cyclotomic", refuse)
+    for n in range(2, 40):
+        assert CyclotomicRing(n).is_domain
+    ring = QuotientRing(PolynomialRing(ModularRing(7), "x"), cyclotomic_poly(3))
+    assert not ring.is_domain
+
+
+def test_order_bound_over_z_certifies_a_non_root_of_unity():
+    # Z[t]/(t^2 - 2) embeds in Q(sqrt 2), whose roots of unity are +-1
+    ring = parse_ring("Z[t]/(t^2-2)")
+    assert ring.root_of_unity_order_bound() == rings._qalg_torsion_bound(2)
+    res = q_characteristic(QContext(ring, ring.generator), bound=100)
+    assert res.is_zero and res.rule == "root-of-unity bound"
