@@ -299,86 +299,88 @@ def _matrix_power(ring, qp, k):
     return s, pw
 
 
-def _first_zero(ring, qp, bound):
-    """Least m <= bound with (m)_q = 0, stepping ((m)_q, q^m); None if none."""
-    zero_p = ring._zero()
-    s, pw = zero_p, ring._one()
-    for m in range(1, bound + 1):
-        s, pw = ring._add(s, pw), ring._mul(pw, qp)
-        if s == zero_p:
-            return m
-    return None
+def _order_and_char(ring, qp, bound, walk=False):
+    """(d, p) for the q with payload qp: d = ord(q) and p = d * o, where o
+    is the additive order of v = (d)_q.
 
-
-def _matrix_order(ring, qp, bound):
-    """ord(M) for a unit q of a finite ring, or None when it exceeds bound.
-
-    (m)_q = 0 forces q^m = 1, since (1 - q)(m)_q = 1 - q^m, so the zeros of
-    (m)_q are the m with M^m = 1 and the first one is ord(M).  Over Z/n,
-    ord(M) = d * (additive order of (d)_q) with d the order of q, read off
-    the factored lambda(n) (UnsupportedError when n resists factoring);
-    elsewhere the orbit of ((m)_q, q^m), purely periodic for a unit q, is
-    walked to its first zero.
+    (m)_q = 0 forces q^m = 1, since (1 - q)(m)_q = 1 - q^m, and once q^d = 1,
+    (kd)_q = k * (d)_q: the zeros of (m)_q are the multiples of p, and p = 0
+    when o is infinite (on a torsion-free ring).  On Z/n, d is
+    ``ModularRing.unit_order`` (UnsupportedError when n resists factoring)
+    unless ``walk`` is set, and o = n / gcd(n, v).  Elsewhere q^m is walked
+    up to min(bound, ``root_of_unity_order_bound()``), and o is the least
+    divisor k <= bound / d of the characteristic n with k * v = 0.  d is None
+    when no q^m = 1 was seen, with p = 0 past the root-of-unity order bound;
+    p is None when undecided within ``bound``.  A p on Z/n, or derived with
+    o > 1, is checked by M^p = 1.
     """
-    if not isinstance(ring, ModularRing):
-        return _first_zero(ring, qp, bound)
-    d = ring.unit_order(qp)
-    s, _ = _matrix_power(ring, qp, d)
-    p = d * (ring.n // math.gcd(s, ring.n))
-    if _matrix_power(ring, qp, p) != (ring._zero(), ring._one()):
+    zero, one = ring._zero(), ring._one()
+    zn = type(ring) is ModularRing
+    if zn and not walk:
+        d = ring.unit_order(qp)
+        v = _matrix_power(ring, qp, d)[0]
+    else:
+        order_bound = ring.root_of_unity_order_bound()
+        s, pw = zero, one
+        for m in range(1, 1 + (bound if order_bound is None else min(bound, order_bound))):
+            s, pw = ring._add(s, pw), ring._mul(pw, qp)
+            if pw == one:
+                d, v = m, s
+                break
+        else:
+            return None, (0 if order_bound is not None and order_bound <= bound else None)
+    n = ring.characteristic
+    if zn:
+        o = n // math.gcd(n, v)
+    elif v == zero:
+        o = 1
+    elif ring.torsion_free:
+        return d, 0
+    else:  # none when n = 0 or n > bound / d
+        ks = range(2, min(n, bound // d) + 1)
+        o = next((k for k in ks if n % k == 0 and ring._mul(ring._from_int(k), v) == zero), None)
+        if o is None:
+            return d, None
+    p = d * o
+    if (zn or o > 1) and _matrix_power(ring, qp, p) != (zero, one):
         raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")
-    return p if p <= bound else None
+    return d, p
 
 
 def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     """Smallest p > 0 with (p)_q = 0, or a certificate that none exists.
 
-    The certificate rules, each sound in any ring, and named in ``rule``:
+    One rule decides p on every ring: p = d * o for d = ord(q) and o the
+    additive order of (d)_q (``_order_and_char``).  ``rule`` names how:
 
     * ``non-unit q`` (finite rings): (m)_q = 0 forces q^m = 1, so q would be
       a unit;
-    * ``matrix-order`` (Z/n): p = ord([[1, 1], [0, q]]), computed from the
-      factored Carmichael function, see ``_matrix_order``;
-    * ``period-walk``: the first zero found by stepping (s_m, q^m) =
-      ((m)_q, q^m); on a finite ring a unit q makes this orbit purely
-      periodic, so the walk ends at ord(M) without remembering it;
-    * ``q^d=1 & torsion-free``: q^d = 1 observed with (d)_q != 0: zeros can
-      only occur at multiples of d, where (kd)_q = k * (d)_q, so a
-      Z-torsion-free ring has none;
+    * ``matrix-order`` (Z/n): d from the factored Carmichael function, so
+      p = ord([[1, 1], [0, q]]) without a walk;
+    * ``period-walk``: d found by walking q^m, then p = d * o; on Z/n when
+      n resists factoring, on every other ring with finite p;
+    * ``q^d=1 & torsion-free``: (d)_q != 0 on a Z-torsion-free ring, so
+      (kd)_q = k * (d)_q never vanishes;
     * ``root-of-unity bound``: q^m != 1 for every m up to the ring's
       root-of-unity order bound, so q is not a root of unity and no (m)_q
       vanishes.
 
-    A p found by structure but larger than ``bound`` is reported as unknown,
-    as the walk would.
+    Anything undecided within ``bound``, and a p above it however found,
+    is reported as unknown.
     """
-    ring = ctx.ring
-    qp = ctx.q.payload
-    if ring.finite:
-        rule = "matrix-order" if isinstance(ring, ModularRing) else "period-walk"
-        try:
-            if ring._invert(qp) is None:
-                return QCharResult.zero("non-unit q")
-            p = _matrix_order(ring, qp, bound)
-        except UnsupportedError:  # n resists factoring: walking is still sound
-            p, rule = _first_zero(ring, qp, bound), "period-walk"
-        return QCharResult.unknown(bound) if p is None else QCharResult.finite(p, rule)
-    zero_p = ring._zero()
-    one_p = ring._one()
-    order_bound = ring.root_of_unity_order_bound()
-    s, pw = zero_p, one_p
-    for m in range(1, bound + 1):
-        s = ring._add(s, pw)
-        pw = ring._mul(pw, qp)
-        if s == zero_p:
-            return QCharResult.finite(m, "period-walk")
-        if pw == one_p:
-            if ring.torsion_free:
-                return QCharResult.zero("q^d=1 & torsion-free")
-            return QCharResult.unknown(bound)
-        if order_bound is not None and m >= order_bound:
-            return QCharResult.zero("root-of-unity bound")
-    return QCharResult.unknown(bound)
+    ring, qp = ctx.ring, ctx.q.payload
+    try:
+        if ring.finite and ring._invert(qp) is None:
+            return QCharResult.zero("non-unit q")
+        d, p = _order_and_char(ring, qp, bound)
+        rule = "matrix-order" if type(ring) is ModularRing else "period-walk"
+    except UnsupportedError:  # n resists factoring: walking is still sound
+        (d, p), rule = _order_and_char(ring, qp, bound, walk=True), "period-walk"
+    if p is None or p > bound:
+        return QCharResult.unknown(bound)
+    if p:
+        return QCharResult.finite(p, rule)
+    return QCharResult.zero("root-of-unity bound" if d is None else "q^d=1 & torsion-free")
 
 
 @dataclass(frozen=True)
@@ -418,7 +420,7 @@ def _nonunit_state_candidates(ring, qp):
     (m)_q = 0 for some m <= |k|.  Either way the walk ends within |R| steps.
     """
     if ring._invert(qp) is not None:
-        p = _matrix_order(ring, qp, ring.cardinality**2)
+        _, p = _order_and_char(ring, qp, ring.cardinality**2)
         for m in ntheory.divisors(ntheory.factorize(p))[:-1]:
             yield m, _matrix_power(ring, qp, m)[0]
         return
@@ -461,23 +463,19 @@ def certify_flatness(ctx: QContext) -> FlatnessCertificate:
 
     if ring.is_domain:
         qc = q_characteristic(ctx)
-        if qc.is_finite:
-            nonunit = None
-            for m in range(1, qc.p):
-                if q_state(ctx, m).try_invert() is None:
-                    nonunit = m
-                    break
-            return FlatnessCertificate(True, nonunit is None, None, nonunit)
-        if qc.is_zero:
-            for m in range(1, DIVISIBILITY_SCAN + 1):
-                v = q_state(ctx, m)
-                if not v.is_zero() and v.try_invert() is None:
-                    return FlatnessCertificate(True, False, None, m)
-            raise UnsupportedError(
-                f"cannot certify divisibility over {ring}: no nonunit state "
-                f"found within scan limit {DIVISIBILITY_SCAN}"
-            )
-        raise UnsupportedError(f"quantum characteristic undecided over {ring}")
+        if qc.is_unknown:
+            raise UnsupportedError(f"quantum characteristic undecided over {ring}")
+        # the states below p are nonzero; with p = 0, scan the first few
+        for m in range(1, qc.p or DIVISIBILITY_SCAN + 1):
+            v = q_state(ctx, m)
+            if not v.is_zero() and v.try_invert() is None:
+                return FlatnessCertificate(True, False, None, m)
+        if qc.p:
+            return FlatnessCertificate(True, True)
+        raise UnsupportedError(
+            f"cannot certify divisibility over {ring}: no nonunit state "
+            f"found within scan limit {DIVISIBILITY_SCAN}"
+        )
 
     raise UnsupportedError(f"flatness certification needs a finite ring, domain or field, not {ring}")
 

@@ -3,8 +3,9 @@
 A finite denominator set D is closed under lcm at construction (together with
 1), so the fractions it generates form the monoid N*(1/p) for p = lcm(D).  A
 root system attaches to each n in the closure an element q_n with q_n^n = q
-and the pairwise compatibility law q_{n'} = q_n^m whenever n = m*n'.  It is
-admissible when every (n)_{q_n} is a unit; only then are rational q-states
+and the pairwise compatibility law q_{n'} = q_n^m whenever n = m*n'; as every
+n divides p, that says q_n = q_p^(p/n) with q_p^p = q.  It is admissible when
+every (n)_{q_n} is a unit; only then are rational q-states
 
     (m/n)_q = (m)_{q_n} / (n)_{q_n}
 
@@ -86,8 +87,9 @@ def build_root_system(ctx: QContext, denominators, roots) -> RootSystem:
 
     ``denominators`` is a DenominatorSet or an iterable to close; ``roots``
     maps each member of the closure to its root (1 may be omitted and defaults
-    to q).  Verifies q_n^n = q and the divisor compatibility law on the
-    closed set, then computes the admissibility flag.
+    to q).  Verifies q_L^L = q and q_n = q_L^(L/n) for L = lcm of the closed
+    set, which gives q_n^n = q and the compatibility law, then computes the
+    admissibility flag.  A failure raises CompatibilityError for (L, n).
     """
     dset = denominators if isinstance(denominators, DenominatorSet) else close_denominators(denominators)
     table = {}
@@ -99,15 +101,12 @@ def build_root_system(ctx: QContext, denominators, roots) -> RootSystem:
     missing = [n for n in dset.closure if n not in table]
     if missing:
         raise DomainError(f"roots missing for denominators {missing}")
+    L = dset.generator
+    if table[L] ** L != ctx.q:
+        raise CompatibilityError(L, L, f"q_{L}^{L} != q")
     for n in dset.closure:
-        if table[n] ** n != ctx.q:
-            raise CompatibilityError(n, n, f"q_{n}^{n} != q")
-    # on an lcm-closed set, pairwise compatibility reduces to divisor pairs
-    for n in dset.closure:
-        for np in dset.closure:
-            if n != np and n % np == 0:
-                if table[np] != table[n] ** (n // np):
-                    raise CompatibilityError(n, np)
+        if table[n] != table[L] ** (L // n):
+            raise CompatibilityError(L, n)
     admissible, bad = True, None
     for n in dset.closure:
         if q_state(QContext(ctx.ring, table[n]), n).try_invert() is None:

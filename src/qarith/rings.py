@@ -41,6 +41,7 @@ threads.  Arithmetic on elements of different rings raises RingMismatchError.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -86,6 +87,7 @@ def _decimal(x):
 CYCLOTOMIC_SCAN_DEGREE = 16
 
 
+@functools.cache
 def _qalg_torsion_bound(n):
     """Largest possible order of a root of unity in a Q-algebra of dimension n.
 

@@ -223,6 +223,63 @@ def test_rules_on_infinite_rings():
     assert q_characteristic(QContext(qx, qx.generator)).rule == "q^d=1 & torsion-free"
 
 
+def plain_poly_qchar(n, q, bound):
+    """(least m <= bound with (m)_q = 0 in Z/n[t], least m <= bound with
+    q^m = 1), each None when there is none; q is a coefficient list."""
+
+    def strip(cs):
+        cs = [c % n for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return strip(out)
+
+    q, one = strip(q), strip([1])
+    s, pw, order = [], one, None
+    for m in range(1, bound + 1):
+        s = strip([x + y for x, y in itertools.zip_longest(s, pw, fillvalue=0)])
+        pw = mul(pw, q)
+        if order is None and pw == one:
+            order = m
+        if not s:
+            return m, order
+    return None, order
+
+
+def test_polynomial_ring_over_zn_matches_state_walk():
+    # Z/n[t] is infinite and not torsion-free, so p = ord(q) * (additive
+    # order of (ord q)_q) is decided through the characteristic n; every unit
+    # of degree <= 2 (a unit constant plus nilpotent terms) is tried, and a
+    # sample of the other q, whose powers never return to 1
+    bound = 40
+    units, others = [], []
+    for n in range(2, 13):
+        rad = math.prod(ntheory.factorize(n))
+        for q in itertools.product(range(n), repeat=3):
+            unit = math.gcd(q[0], n) == 1 and q[1] % rad == q[2] % rad == 0
+            (units if unit else others).append((n, q))
+    derived = 0
+    for n, q in units + random.Random(18).sample(others, 200):
+        ring = PolynomialRing(ModularRing(n), "t")
+        res = q_characteristic(QContext(ring, ring.element(q)), bound=bound)
+        expected, order = plain_poly_qchar(n, list(q), bound)
+        if res.is_finite:
+            assert res.p == expected and res.rule == "period-walk", (n, q, res)
+            derived += res.p != order
+        else:  # neither rule for a certified 0 applies, so no zero within the bound
+            assert res.is_unknown and expected is None, (n, q, res)
+    assert derived >= 100
+    z4t = PolynomialRing(ModularRing(4), "t")
+    res = q_characteristic(QContext(z4t, z4t.element((1, 2))))
+    assert (res.p, res.certified, res.rule) == (4, True, "period-walk")
+
+
 def test_qchar_json_names_the_rule(capsys):
     assert main(["qchar", "--ring", "Z/8", "--q", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -317,11 +374,15 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
     zn = ModularRing(big)
     with pytest.raises(UnsupportedError):
         zn.factors()
-    with pytest.raises(UnsupportedError):
-        certify_flatness(QContext(zn, zn.from_int(2)))
+    # q = -1 has order 2 and (2)_q = 0, so a walk would answer at once
+    for q in (-1, 2):
+        with pytest.raises(UnsupportedError):
+            certify_flatness(QContext(zn, zn.from_int(q)))
     # the characteristic falls back to the walk, which stays sound
     res = q_characteristic(QContext(zn, zn.from_int(2)), bound=1000)
     assert res.is_unknown and res.bound == 1000
+    res = q_characteristic(QContext(zn, zn.from_int(-1)), bound=1000)
+    assert (res.p, res.rule) == (2, "period-walk")
     ring = quotient(big, (1, 0, 1))
     with pytest.raises(UnsupportedError):
         ring.generator.try_invert()
@@ -329,6 +390,23 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
         is_zero_divisor(ring.generator)
     with pytest.raises(UnsupportedError):
         certify_flatness(QContext(ring, ring.generator))
+
+
+# --- verify branches that depend on the ring ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p = 4 on Z/5 with q = 2: the even case of the sign rule
+        ["verify", "sign_rule", "--ring", "Z/5", "--q", "2"],
+        # a prime field of more than 64 elements checks h = 1 only
+        ["verify", "artin_schreier", "--ring", "Z/67"],
+    ],
+)
+def test_verify_branches_on_finite_rings(capsys, argv):
+    assert main(argv) == 0
+    assert "cases=1 failures=0" in capsys.readouterr().out
 
 
 # --- the number-theory helper ---------------------------------------------------
