@@ -242,11 +242,11 @@ def parse_element(ring: Ring, text: str) -> RingElement:
 # ---------------------------------------------------------------------------
 
 # Largest phi(n), the degree of chi_n, that parse_ring accepts in Cyclo(n),
-# checked before chi_n is built.  Building chi_n is slowest for n with many
-# small prime factors: under this cap the slowest found, n = 3570 and 4290,
-# take 0.13-0.3 s in-process and the whole `qint --ring 'Cyclo(4290)' 3`
-# about 0.45 s (CPython 3.11, shared 2-vCPU x86-64), where Cyclo(1000003)
-# took 0.9-1.0 s with no cap.
+# checked before chi_n is built.  Under this cap building chi_n costs at most
+# 4 ms in-process and a whole `qint --ring 'Cyclo(n)' 3` about 0.2 s; the
+# cost is the `qchar` walk, up to lcm(2, n) products of degree phi(n):
+# `qchar --q 1+t` took 3.7 s on Cyclo(4290) and 5.1 s on Cyclo(4620), the
+# largest n under the cap (CPython 3.11, shared 2-vCPU x86-64).
 CYCLO_MAX_PHI = 1024
 
 _QUOT_RE = re.compile(r"(Z/(\d+)|Q|Z)\[([A-Za-z])\]/\((.*)\)\s*$")
@@ -368,6 +368,17 @@ class VerificationReport:
                 for f in self.failures
             ],
         }
+
+
+# Largest quantum characteristic p for which verify runs qbin_vanish, lucas
+# and frobenius, checked before their work, which grows as p^2: p Pascal
+# rows, p^2 q-binomials per (n, k), a twisted power of degree p.  Measured
+# in whole `python -m qarith` runs (CPython 3.11, shared 2-vCPU x86-64): at
+# p = 256 on Z/257, qbin_vanish took 0.25 s and 21 MB, lucas at its default
+# ranges 4.2 s and frobenius 0.4 s (3.6 s on Cyclo(251), p = 251); at
+# p = 1008 on Z/1009, lucas with --n-max 1 --k-max 1 took 15 s, and
+# qbin_vanish used 312 MB near p = 4000.
+VERIFY_MAX_P = 256
 
 
 class HypothesesUnmet(Exception):
@@ -528,6 +539,8 @@ def _iv_prim(env, rec):
 def _iv_qbin_vanish(env, rec):
     ctx = env.require_q()
     p = env.flat_char()
+    if p > VERIFY_MAX_P:
+        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
     for k in range(p + 1):
         expected = env.ring.one if k in (0, p) else env.ring.zero
         rec.check({"p": p, "k": k}, q_binomial(ctx, p, k), expected)
@@ -570,6 +583,8 @@ def _iv_chu_vandermonde(env, rec):
 def _iv_lucas(env, rec):
     ctx = env.require_q()
     p = env.flat_char()
+    if p > VERIFY_MAX_P:
+        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
     n_max, k_max = env.ranges["n_max"], env.ranges["k_max"]
     for n in range(n_max + 1):
         for k in range(k_max + 1):
@@ -741,6 +756,8 @@ def _iv_twisted_binomial(env, rec):
 
 def _iv_frobenius(env, rec):
     p = env.flat_char()
+    if p > VERIFY_MAX_P:
+        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
     alg = TwistedAlgebra.diagonal(env.ring, {"x": env.ctx.q, "y": 1})
     x, y = alg.gen("x"), alg.gen("y")
     rec.check(

@@ -1,10 +1,9 @@
 """Cyclotomic polynomials over the integers and divisor-indexed factorizations.
 
 A polynomial over Z is a tuple of int coefficients, constant term first, with
-no trailing zeros.  chi(m) is produced by the classical recursion: divide
-t^m - 1 exactly by the product of chi(d) over the proper divisors d of m.
-The exact divisions (``zpoly.divexact``) double as self-checks: a nonzero
-remainder means the table is corrupt and raises InternalError immediately.
+no trailing zeros.  chi(m) is the Moebius product of the (1 - t^d) over the
+divisors d of the radical of m (``cyclotomic_poly``), O(2^omega(m) phi(m))
+coefficient steps.
 
 The factorization maps are symbolic (index sets and exponent maps); use
 ``evaluate_factors`` to multiply them out at a point of any ring, or
@@ -36,15 +35,34 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     (1, 0, 1)
     >>> cyclotomic_poly(6)
     (1, -1, 1)
+
+    With r = rad(m), chi_m(t) = chi_r(t^(m/r)), and for r > 1
+    chi_r = prod over d | r of (1 - t^d)^mu(r/d), taken as a power series
+    cut after t^phi(r): multiplying by 1 - t^d is a downward loop over the
+    coefficients and dividing by it an upward one.  A product that is not
+    monic raises InternalError.
     """
     if m < 1:
         raise DomainError("cyclotomic index must be >= 1")
     if m == 1:
         return (-1, 1)
-    proper = (1,)
-    for d in divisors(m)[:-1]:
-        proper = zpoly.mul(proper, cyclotomic_poly(d))
-    return zpoly.divexact((-1,) + (0,) * (m - 1) + (1,), proper)
+    primes = list(ntheory.factorize(m))
+    r = math.prod(primes)
+    deg = math.prod(p - 1 for p in primes)
+    cs = [1] + [0] * deg
+    for mask in range(1 << len(primes)):
+        d = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        if (len(primes) - mask.bit_count()) % 2:  # mu(r/d) = -1: divide by 1 - t^d
+            for i in range(d, deg + 1):
+                cs[i] += cs[i - d]
+        else:  # mu(r/d) = 1: multiply by 1 - t^d
+            for i in range(deg, d - 1, -1):
+                cs[i] -= cs[i - d]
+    if cs[deg] != 1:
+        raise InternalError(f"the Moebius product for chi_{m} is not monic")
+    out = [0] * (deg * (m // r) + 1)
+    out[:: m // r] = cs
+    return tuple(out)
 
 
 def eval_poly(coeffs, x):

@@ -19,12 +19,12 @@ Binomial coefficients take one of two routes, both division-free:
   the structure below: the Pascal recursion C(n,k) = C(n-1,k-1) + q^k C(n-1,k),
   whose rows each context caches, so a sweep over small n costs one addition
   and one product per entry;
-* rows above it when q is the generator t of Z[t], of Cyclo(m) or of Q(t):
-  [n, k]_t is the product of the chi_d with floor(n/d) - floor(k/d) -
-  floor((n-k)/d) = 1 (``cyclotomic.factor_q_binomial``), read off as base-2^w
-  digits of one integer product (``cyclotomic.gaussian_coefficients``),
-  O(n) packed factors and no triangle.  Each context chooses once, on its
-  first row above the cap.
+* rows above it when q is the generator t of Z[t], of Q(t) or of Z[t] or
+  Q[t] modulo chi_m, m >= 2: [n, k]_t is the product of the chi_d with
+  floor(n/d) - floor(k/d) - floor((n-k)/d) = 1 (``factor_q_binomial``),
+  read off as base-2^w digits of one integer product
+  (``cyclotomic.gaussian_coefficients``), O(n) packed factors and no
+  triangle.  Each context chooses once, on its first row above the cap.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import ntheory
-from .cyclotomic import eval_cyclotomic, eval_poly, gaussian_coefficients, product_tree
+from . import ntheory, zpoly
+from .cyclotomic import cyclotomic_poly, eval_cyclotomic, eval_poly, gaussian_coefficients, product_tree
 from .errors import (
     DomainError,
     InternalError,
@@ -166,7 +166,8 @@ def q_factorial(ctx: QContext, m: int) -> RingElement:
 
 def _structural_binomial(ctx: QContext):
     """(n, k) -> payload of [n, k]_t by ``gaussian_coefficients`` when q is
-    the generator t of Z[t], Cyclo(m) or Q(t); None on any other context."""
+    the generator t of Z[t], of Q(t) or of Z[t] or Q[t] modulo chi_m, m >= 2
+    (modulo chi_1 the fold C(n, k) may equal the modulus B - 1); else None."""
     ring = ctx.ring
     gen = ring.generator
     if gen is None or ctx.q.payload != gen.payload:
@@ -176,13 +177,13 @@ def _structural_binomial(ctx: QContext):
         return gaussian_coefficients
     if kind is RationalFunctionField and ring.denominator == 1:
         return lambda n, k: (gaussian_coefficients(n, k), (1,))
-    if kind is CyclotomicRing:
-        m = ring.p
+    m = getattr(ring, "cyclotomic_index", None) or 0
+    if m >= 2:
 
         def cyclo(n, k):
             if n // m - k // m - (n - k) // m:  # chi_m divides [n, k]_t
                 return ()
-            return ring._reduce(gaussian_coefficients(n, k, fold=m))
+            return zpoly.reduce_cyclotomic(gaussian_coefficients(n, k, fold=m), m, cyclotomic_poly(m))
 
         return cyclo
     return None
@@ -192,8 +193,8 @@ def q_binomial(ctx: QContext, n: int, k: int) -> RingElement:
     """q-binomial coefficient; zero for k > n.
 
     Rows up to ``PASCAL_MAX_ROW``, and every row unless q is the generator t
-    of Z[t], Cyclo(m) or Q(t), come from the cached Pascal triangle; the
-    rows above it on those rings from the cyclotomic product, memoized.
+    of Z[t], Q(t) or a quotient by chi_m, come from the cached Pascal triangle;
+    the rows above it on those rings from the cyclotomic product, memoized.
     """
     if n < 0 or k < 0:
         raise DomainError("q-binomial arguments must be natural numbers")
@@ -308,11 +309,12 @@ def _order_and_char(ring, qp, bound, walk=False):
     when o is infinite (on a torsion-free ring).  On Z/n, d is
     ``ModularRing.unit_order`` (UnsupportedError when n resists factoring)
     unless ``walk`` is set, and o = n / gcd(n, v).  Elsewhere q^m is walked
-    up to min(bound, ``root_of_unity_order_bound()``), and o is the least
-    divisor k <= bound / d of the characteristic n with k * v = 0.  d is None
-    when no q^m = 1 was seen, with p = 0 past the root-of-unity order bound;
-    p is None when undecided within ``bound``.  A p on Z/n, or derived with
-    o > 1, is checked by M^p = 1.
+    up to min(bound, ``root_of_unity_order_bound()``), and o comes from the
+    characteristic n: starting from o = n, each prime of n is divided out
+    while o * v stays 0.  d is None when no q^m = 1 was seen, with p = 0
+    past the root-of-unity order bound; p is None when undecided within
+    ``bound``, or when n is 0 or resists factoring.  A p on Z/n, or derived
+    with o > 1, is checked by M^p = 1.
     """
     zero, one = ring._zero(), ring._one()
     zn = type(ring) is ModularRing
@@ -336,11 +338,17 @@ def _order_and_char(ring, qp, bound, walk=False):
         o = 1
     elif ring.torsion_free:
         return d, 0
-    else:  # none when n = 0 or n > bound / d
-        ks = range(2, min(n, bound // d) + 1)
-        o = next((k for k in ks if n % k == 0 and ring._mul(ring._from_int(k), v) == zero), None)
-        if o is None:
+    else:  # o divides n: divide each prime of n out of o while o * v stays 0
+        if not n:
             return d, None
+        try:
+            primes = ntheory.factorize(n)
+        except UnsupportedError:
+            return d, None
+        o = n
+        for prime in primes:
+            while o % prime == 0 and ring._mul(ring._from_int(o // prime), v) == zero:
+                o //= prime
     p = d * o
     if (zn or o > 1) and _matrix_power(ring, qp, p) != (zero, one):
         raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")

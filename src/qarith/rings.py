@@ -13,9 +13,9 @@ equality is ring equality and every operation returns a normalized result:
                       ``normalize`` runs a full gcd, arithmetic follows Henrici
 * ``B[x]/(mu)``    -- residue vector of degree < deg mu (mu needs a unit leading
                       coefficient so remainder division is defined over B = Z/n, Q
-                      or Z)
-* ``Cyclo(p)``     -- the ``B[x]/(mu)`` with B = Z, x = t and mu = chi_p: integer
-                      residue vector of degree < deg chi_p
+                      or Z); a modulus +-chi_m over Z or Q records m
+* ``Cyclo(p)``     -- the ``B[x]/(mu)`` with B = Z, x = t and mu = chi_p, under
+                      its own name
 * ``Q(t^(1/L))``   -- a ``Q(t)`` payload in s = t^(1/L)
 
 Dense polynomials over any base are tuples of base payloads, constant first,
@@ -23,12 +23,12 @@ with no trailing zeros.  The ``dense_*`` functions are the one place that
 loops over them: ``dense_strip``, ``dense_add``, ``dense_neg``,
 ``dense_mul``, ``dense_divmod`` (remainder division by a unit leading
 coefficient), ``dense_euclid`` (extended Euclid over a field) and
-``dense_scale``.  ``PolynomialRing``, ``QuotientRing``, the inverse in
-``Cyclo(p)`` and the dense path of ``twisted`` all use them.  Over an exact
-``IntegerRing`` base ``dense_add`` and ``dense_mul`` hand the tuples to the
-integer kernel ``zpoly``, which ``Cyclo(p)`` (``zpoly.mul`` and
-``zpoly.reduce_cyclotomic``) and ``Q(t)`` (numerators and denominators) use
-directly; see ``zpoly`` for how it multiplies.  The sparse
+``dense_scale``.  ``PolynomialRing``, ``QuotientRing`` and the dense path of
+``twisted`` all use them.  Over an exact ``IntegerRing`` base ``dense_add``
+and ``dense_mul`` hand the tuples to the integer kernel ``zpoly``, which a
+quotient of Z[x] by chi_m (``zpoly.mul`` and ``zpoly.reduce_cyclotomic``)
+and ``Q(t)`` (numerators and denominators) use directly; see ``zpoly`` for
+how it multiplies.  The sparse
 (exponent, coefficient) payloads of ``Z[t,1/t]`` and ``TwistedAlgebra`` use
 ``sparse_normalize``, ``sparse_add``, ``sparse_neg`` and ``sparse_mul``,
 which differ between the two only in how exponents are checked and added.
@@ -109,12 +109,11 @@ def _qalg_torsion_bound(n):
 
 
 def _is_cyclotomic(mu):
-    """Whether the monic polynomial mu is chi_m for some m; False above
+    """The m with mu = chi_m for the monic polynomial mu, or None; None above
     degree CYCLOTOMIC_SCAN_DEGREE, where no m is tried."""
     d = len(mu) - 1
-    return d <= CYCLOTOMIC_SCAN_DEGREE and any(
-        ntheory.totient(m) == d and cyclotomic_poly(m) == mu for m in range(1, 2 * d * d + 3)
-    )
+    ms = range(1, 2 * d * d + 3) if d <= CYCLOTOMIC_SCAN_DEGREE else ()
+    return next((m for m in ms if ntheory.totient(m) == d and cyclotomic_poly(m) == mu), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,8 +1080,13 @@ class QuotientRing(Ring):
     Z (mu monic) a unit is an element whose inverse over Q has integer
     coefficients; annihilators over Z raise UnsupportedError.  A modulus
     chi_m over Z or Q, up to a unit and of degree at most
-    ``CYCLOTOMIC_SCAN_DEGREE``, makes the ring a domain (over Q a field).
+    ``CYCLOTOMIC_SCAN_DEGREE``, is recorded as ``cyclotomic_index`` = m: the
+    ring is the domain Z[zeta_m] or the field Q(zeta_m), and over Z products
+    fold modulo t^m - 1 (``zpoly.reduce_cyclotomic``), not O(deg^2) division.
     """
+
+    cyclotomic_index = None
+    _fold = None  # (m, chi_m) when products fold modulo t^m - 1
 
     def __init__(self, polyring, modulus):
         if not isinstance(polyring, PolynomialRing):
@@ -1105,11 +1109,14 @@ class QuotientRing(Ring):
         self.torsion_free = self.base.torsion_free
         self.characteristic = self.base.characteristic
         self._fields = None
-        # B[x]/(chi_m) is Z[zeta_m] or Q(zeta_m); Cyclo(m) sets the flag itself
-        if not self.is_domain and type(self.base) in (IntegerRing, RationalField):
-            if _is_cyclotomic(dense_scale(self.base, modulus, modulus[-1])):
-                self.is_domain = True
-                self.is_field = self.base.is_field
+        # Cyclo(m) sets the index itself and skips the scan
+        if self.cyclotomic_index is None and type(self.base) in (IntegerRing, RationalField):
+            self.cyclotomic_index = _is_cyclotomic(dense_scale(self.base, modulus, modulus[-1]))
+        m = self.cyclotomic_index
+        if m is not None:
+            self.is_domain, self.is_field = True, self.base.is_field
+            # fold by chi_m itself, since the modulus may be -chi_m
+            self._fold = (m, cyclotomic_poly(m)) if type(self.base) is IntegerRing else None
 
     def normalize(self, payload):
         _, r = dense_divmod(self.base, self.polyring.normalize(payload), self.modulus)
@@ -1122,6 +1129,8 @@ class QuotientRing(Ring):
         return dense_neg(self.base, a)
 
     def _mul(self, a, b):
+        if self._fold:
+            return zpoly.reduce_cyclotomic(zpoly.mul(a, b), *self._fold)
         prod = dense_mul(self.base, a, b)
         if len(prod) < len(self.modulus):
             return prod
@@ -1232,6 +1241,8 @@ class QuotientRing(Ring):
         return self.element(tuple(self.base.random_element(rng).payload for _ in range(d)))
 
     def root_of_unity_order_bound(self):
+        if self.cyclotomic_index is not None:  # the roots of unity of Q(zeta_m) are +-zeta_m^j
+            return math.lcm(2, self.cyclotomic_index)
         # Z[x]/(mu) embeds in the Q-algebra Q[x]/(mu), since mu is monic
         if type(self.base) in (IntegerRing, RationalField):
             return _qalg_torsion_bound(len(self.modulus) - 1)
@@ -1239,43 +1250,21 @@ class QuotientRing(Ring):
 
 
 class CyclotomicRing(QuotientRing):
-    """Cyclo(p) = Z[t]/(chi_p), where t is a primitive p-th root of unity.
-
-    A ``QuotientRing`` over ``PolynomialRing(ZZ, "t")`` with modulus chi_p;
-    it inherits everything but its integer kernels.
-    """
-
-    is_domain = True
+    """Cyclo(p) = Z[t]/(chi_p), where t is a primitive p-th root of unity:
+    the ``QuotientRing`` over ``PolynomialRing(ZZ, "t")`` with modulus chi_p,
+    built without scanning for the index it is given."""
 
     def __init__(self, p):
         if p < 2:
             raise DomainError("cyclotomic quotient index must be >= 2")
-        self.p = p
+        self.p = self.cyclotomic_index = p
         super().__init__(PolynomialRing(ZZ, "t"), cyclotomic_poly(p))
 
-    def _reduce(self, cs):
-        return zpoly.reduce_cyclotomic(cs, self.p, self.modulus)
-
-    # These three kernels override QuotientRing's for two reasons: _mul folds
-    # modulo t^p - 1 first (``reduce_cyclotomic``), where the generic
-    # ``dense_divmod`` would cost O(deg^2) per product; and the perfbench
-    # tracer wraps each ring kind's own _add, _mul and _invert, so _invert
-    # is a plain delegation.
-    def _add(self, a, b):
-        return zpoly.add(a, b)
-
-    def _mul(self, a, b):
-        return self._reduce(zpoly.mul(a, b))
-
-    def _invert(self, a):
-        return super()._invert(a)
+    # the perfbench tracer wraps each ring kind's own _add, _mul and _invert
+    _add, _mul, _invert = QuotientRing._add, QuotientRing._mul, QuotientRing._invert
 
     def _name(self):
         return f"Cyclo({self.p})"
-
-    def root_of_unity_order_bound(self):
-        # torsion units of Z[zeta_p] are +-zeta_p^j
-        return 2 * self.p
 
 
 # canonical shared instances

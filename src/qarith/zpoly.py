@@ -1,13 +1,12 @@
-"""Dense integer polynomials: the one kernel behind Z[t], Cyclo(n) and Q(t).
+"""Dense integer polynomials: the one kernel behind Z[t], Z[t]/(chi_m) and Q(t).
 
 A polynomial is a tuple of ints, constant term first, with no trailing zeros
 (``strip`` makes one from any sequence).  ``rings.dense_add`` and
 ``rings.dense_mul`` hand polynomials over an exact ``IntegerRing`` base here,
 so ``PolynomialRing`` over Z and the dense twisted powers over Z add and
-multiply with ``add`` and ``mul``.  ``CyclotomicRing`` multiplies with
-``mul`` and reduces with ``reduce_cyclotomic``, ``RationalFunctionField``
-(Q(t) and Q(t^(1/L))) keeps numerators and denominators as these tuples, and
-the ``cyclotomic_poly`` table is built with ``mul`` and ``divexact``.
+multiply with ``add`` and ``mul``.  Z[t]/(chi_m) and ``qnum``'s cyclotomic
+q-binomials reduce with ``reduce_cyclotomic``, and ``RationalFunctionField``
+(Q(t) and Q(t^(1/L))) keeps numerators and denominators as these tuples.
 ``gcd`` runs the primitive polynomial remainder sequence (Knuth, TAOCP
 vol. 2, 4.6.1): pseudo-remainders, each made primitive, so every step stays
 in Z[t].

@@ -140,6 +140,9 @@ def test_qchar_example(capsys):
     assert (code, out) == (0, "4")
     code, out = run_cli(capsys, ["qchar", "--ring", "Q[X]/(X^2-1)", "--q", "X"])
     assert (code, out) == (0, "0 (certified)")
+    # q^m != 1 for m <= lcm(2, 4), the largest order of a root of unity in Z[zeta_4]
+    code, out = run_cli(capsys, ["qchar", "--ring", "Cyclo(4)", "--q", "2", "--bound", "5"])
+    assert (code, out) == (0, "0 (certified)")
 
 
 def test_qint_negative_example(capsys):
@@ -344,6 +347,27 @@ def test_verify_gate_is_flat_with_finite_characteristic(capsys, identity, ring, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"hypotheses unmet: {message}\n"
+
+
+@pytest.mark.parametrize("identity", ["qbin_vanish", "lucas", "frobenius"])
+def test_verify_refuses_a_quantum_characteristic_above_the_cap(capsys, monkeypatch, identity):
+    def refuse(*args):
+        raise AssertionError("started work that grows with p^2")
+
+    monkeypatch.setattr(cli, "q_binomial", refuse)
+    monkeypatch.setattr(cli, "twisted_power", refuse)
+    # ord(3) in Z/1000003 is 333334, and (333334)_3 = 0
+    assert main(["verify", identity, "--ring", "Z/1000003", "--q", "3"]) == 3
+    err = capsys.readouterr().err
+    assert f"p = 333334 is above the cap VERIFY_MAX_P = {cli.VERIFY_MAX_P}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_at_the_cap_runs(capsys):
+    # 3 is a primitive root of Z/257, so p = 256
+    assert cli.VERIFY_MAX_P == 256
+    code, out = run_cli(capsys, ["verify", "qbin_vanish", "--ring", "Z/257", "--q", "3"])
+    assert code == 0 and "cases=263 failures=0" in out
 
 
 def test_verify_every_identity_has_a_green_configuration():

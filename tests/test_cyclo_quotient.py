@@ -1,6 +1,7 @@
-"""Cyclo(p) as the quotient Z[t]/(chi_p): its integer kernels against the
-generic ``QuotientRing`` over Z, and outputs pinned from the stand-alone class
-it replaced."""
+"""Cyclo(p) as the quotient Z[t]/(chi_p), and every quotient by chi_m on the
+cyclotomic paths: products against the generic dense kernels over Z,
+q-binomials against Pascal, the root-of-unity order bounds, and outputs
+pinned from the stand-alone class Cyclo(p) once was."""
 
 import functools
 
@@ -20,8 +21,11 @@ from qarith import (
     cyclotomic_poly,
     is_zero_divisor,
     parse_element,
+    parse_ring,
+    q_binomial,
     q_characteristic,
 )
+from qarith.rings import ZI, dense_divmod, dense_mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,19 +38,81 @@ def _pair(p):
 indices = st.one_of(st.sampled_from([2, 3, 4, 6, 12]), st.integers(2, 40))
 payloads = st.lists(st.integers(-10**6, 10**6), max_size=90).map(tuple)
 
+# Z[i] and a modulus -chi_3 fold too; the second folds by chi_3, not by its modulus
+OTHER_QUOTIENTS = [ZI, parse_ring("Z[X]/(-X^2-X-1)")]
+
+ZZ_POLY = PolynomialRing(ZZ, "t")
+
+
+def _remainder(cs, mu):
+    """cs modulo mu by the generic long division over Z, which no fold touches."""
+    return dense_divmod(ZZ, ZZ_POLY.normalize(cs), mu)[1]
+
 
 @settings(max_examples=300, deadline=None)
 @given(indices, payloads, payloads)
 def test_cyclo_kernels_match_the_plain_quotient(p, x, y):
     cyclo, quot = _pair(p)
-    assert cyclo.normalize(x) == quot.normalize(x) == cyclo._reduce(list(x))
+    chi = cyclotomic_poly(p)
+    assert cyclo.normalize(x) == quot.normalize(x) == _remainder(x, chi)
     a, b = cyclo.element(x), cyclo.element(y)
     qa, qb = quot.element(x), quot.element(y)
+    assert (a * b).payload == _remainder(dense_mul(ZZ, x, y), chi)
     for u, v in ((a + b, qa + qb), (a * b, qa * qb), (-a, -qa), (a - b, qa - qb)):
         assert u.payload == v.payload
         assert str(u) == str(v)
     assert cyclo.generator.payload == quot.generator.payload
     assert cyclo.atoms() == quot.atoms()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(OTHER_QUOTIENTS), payloads, payloads)
+def test_other_cyclotomic_quotients_multiply_like_long_division(ring, x, y):
+    mu = ring.modulus
+    a, b = ring.element(x), ring.element(y)
+    assert a.payload == _remainder(x, mu)
+    assert (a * b).payload == _remainder(dense_mul(ZZ, x, y), mu)
+
+
+# --- the paths a chi_m modulus selects, whatever the class ------------------------
+
+
+def _pascal_rows(ring, q, n_max):
+    """Rows 0..n_max of [n, k]_q by C(n, k) = C(n-1, k-1) + q^k C(n-1, k),
+    on elements, apart from ``q_binomial`` and its caches."""
+    rows = [[ring.one]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([ring.one] + [prev[k - 1] + q**k * prev[k] for k in range(1, n)] + [ring.one])
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["Z[i]", "Z[X]/(X^2+X+1)", "Q[X]/(X^2+1)"])
+def test_q_binomials_of_a_cyclotomic_quotient_match_pascal(spec):
+    ring = parse_ring(spec)
+    ctx = QContext(ring, ring.generator)
+    rows = _pascal_rows(ring, ring.generator, 40)
+    for n in range(25, 41):
+        for k in range(n + 1):
+            assert q_binomial(ctx, n, k) == rows[n][k], (spec, n, k)
+    assert ctx._structural is not None  # the rows above the cap took the product
+
+
+def test_q_binomial_modulo_t_minus_1_stays_on_pascal():
+    # the fold modulo t - 1 would be C(255, 1) = 255, the packed product's
+    # own modulus 2^8 - 1, where gaussian_coefficients raises InternalError
+    ring = parse_ring("Z[x]/(x-1)")
+    assert q_binomial(QContext(ring, ring.generator), 255, 1) == 255
+
+
+@pytest.mark.parametrize(
+    "ring, bound",
+    [(ZI, 4), (CyclotomicRing(4), 4), (CyclotomicRing(6), 6), (CyclotomicRing(5), 10),
+     (parse_ring("Z[X]/(X^4+1)"), 8)],
+    ids=["Z[i]", "Cyclo(4)", "Cyclo(6)", "Cyclo(5)", "X^4+1"],
+)
+def test_roots_of_unity_of_a_cyclotomic_quotient_have_order_dividing_lcm_2_m(ring, bound):
+    assert ring.root_of_unity_order_bound() == bound
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 6, 12, 13, 40, 97])

@@ -1,6 +1,7 @@
 """Cyclotomic polynomials and the three divisor-indexed factorizations."""
 
 import contextlib
+import functools
 import math
 import signal
 
@@ -52,6 +53,25 @@ def test_product_over_divisors_is_power_minus_one():
         for d in divisors(n):
             prod = prod * ring.element(cyclotomic_poly(d))
         assert prod == ring.element((-1,) + (0,) * (n - 1) + (1,))
+
+
+@functools.lru_cache(maxsize=None)
+def _chi_by_division(m):
+    """chi_m by the classical recursion: t^m - 1 divided exactly by the
+    chi_d of the proper divisors d of m."""
+    if m == 1:
+        return (-1, 1)
+    proper = (1,)
+    for d in divisors(m)[:-1]:
+        proper = zpoly.mul(proper, _chi_by_division(d))
+    return zpoly.divexact((-1,) + (0,) * (m - 1) + (1,), proper)
+
+
+def test_moebius_product_matches_the_division_recursion():
+    # 1155 = 3*5*7*11 and 4290 = 2*3*5*11*13 have many small primes; 1024 and
+    # 2 * 3^5 = 486 are stretched from a radical
+    for m in [*range(1, 400), 486, 1024, 1155, 4290]:
+        assert cyclotomic_poly(m) == _chi_by_division(m), m
 
 
 def test_factor_q_integer_indices():

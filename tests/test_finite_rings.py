@@ -280,6 +280,22 @@ def test_polynomial_ring_over_zn_matches_state_walk():
     assert (res.p, res.certified, res.rule) == (4, True, "period-walk")
 
 
+@pytest.mark.parametrize("q, p, tried", [((1,), 720720, 6), ((1, 360360), 720720, 7)])
+def test_additive_order_divides_out_the_primes_of_n(monkeypatch, q, p, tried):
+    # n = 720720 = 2^4 3^2 5 7 11 13 has 240 divisors, but o is found from
+    # n = 720720 by testing o/prime * (d)_q = 0 for each prime: once per
+    # prime when o = n (q = 1), and once more for the 2 that o = n/2 drops
+    # (q = 1 + (n/2)t, of order 2, with (2)_q = 2 + (n/2)t)
+    n = 720720
+    ring = PolynomialRing(ModularRing(n), "t")
+    ctx = QContext(ring, ring.element(q))
+    multiples = []
+    from_int = ring._from_int
+    monkeypatch.setattr(ring, "_from_int", lambda k: multiples.append(k) or from_int(k))
+    res = q_characteristic(ctx)
+    assert res.p == p and len(multiples) == tried, (res, multiples)
+
+
 def test_qchar_json_names_the_rule(capsys):
     assert main(["qchar", "--ring", "Z/8", "--q", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
