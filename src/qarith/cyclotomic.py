@@ -152,10 +152,11 @@ def gaussian_coefficients(n, k, fold=None):
     maps to M = B^m - 1 = 2^(w*m) - 1, and every factor and product is
     reduced by ``_fold``, which adds its (w*m)-bit digits instead of
     dividing by M.  The coefficients of [n, k]_t, and of its fold, are >= 0
-    and sum to C(n, k) < B, so the base-B digits of the product are exactly
-    those coefficients, and the folded value lies in [1, M).  ``_fold``
-    leaves a value in [0, M] with that residue, which is therefore the
-    folded value itself; a result of M or more raises InternalError.
+    and sum to C(n, k) < B, so the unsigned base-B digits of the product
+    (``zpoly._unpack``) are exactly those coefficients, and the folded value
+    lies in [1, M).  ``_fold`` leaves a value in [0, M] with that residue,
+    which is therefore the folded value itself; a result of M or more raises
+    InternalError.
     """
     nbytes = (math.comb(n, k).bit_length() + 7) // 8  # 2^(8*nbytes) > C(n, k)
     packed = [zpoly._pack(cyclotomic_poly(d), nbytes) for d in factor_q_binomial(n, k)]
@@ -173,5 +174,4 @@ def gaussian_coefficients(n, k, fold=None):
         if value >= modulus:
             raise InternalError("folded q-binomial is not below B^m - 1")
         size = fold
-    data = value.to_bytes(nbytes * size, "little")
-    return zpoly.strip([int.from_bytes(data[i:i + nbytes], "little") for i in range(0, len(data), nbytes)])
+    return zpoly.strip(zpoly._unpack(value, nbytes, size, False))

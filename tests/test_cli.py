@@ -193,6 +193,20 @@ def test_tpow_and_expand(capsys):
     assert (code, out) == (0, "1: 1\n2: 1")
 
 
+def test_tpow_with_sigma_zero(capsys):
+    # sigma(x) = 0 makes every factor past the first f(0), here 0
+    assert run_cli(capsys, ["tpow", "--ring", "Z", "--sigma", "0", "2"]) == (0, "0")
+    assert run_cli(capsys, ["tpow", "--ring", "Z", "--sigma", "0", "--f", "x+1", "5"]) == (0, "1 + x")
+
+
+def test_option_values_starting_with_minus(capsys):
+    # argparse reads "-x" after an option as another option; "--f=-x" binds it
+    code, out = run_cli(capsys, ["tpow", "--ring", "Z", "--sigma", "x+1", "--f=-x", "3"])
+    assert (code, out) == (0, "-2*x - 3*x^2 - x^3")
+    assert main(["tpow", "--ring", "Z", "--sigma", "x+1", "--f", "-x", "3"]) == 3
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_eval_domain_error_exit(capsys):
     code = main(["qint", "--ring", "Z[t]", "--q", "t", "--", "-3"])
     assert code == 1

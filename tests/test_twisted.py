@@ -36,6 +36,7 @@ from qarith import (
     twisted_power_compose,
     twisted_power_sign_check,
 )
+from qarith import twisted
 from helpers import stirling2_table
 
 
@@ -372,6 +373,62 @@ def test_affine_twisted_power_matches_substitution(case):
                 for s in range(4):
                     for n, expected in enumerate(_substituted_powers(alg, f, 12, s)):
                         assert twisted_power(alg, f, n, s) == expected, (q, h, f, n, s)
+
+
+@pytest.fixture(scope="module")
+def integer_corpus():
+    """[(alg, f, sigma_power, expected)] over Z: every q and h in -3..3 with
+    a seeded f of degree <= 4 (zero, constant or not) and sigma power 0..3,
+    and the powers f^(0), ..., f^(n_max) by the inductive rule.  n_max is 70
+    where |q^sigma_power| <= 2 and 30 where the coefficients grow faster."""
+    rng = random.Random(20)
+    cases = []
+    for q in range(-3, 4):
+        for h in range(-3, 4):
+            deg = rng.choice([-1, 0, 1, 1, 2, 3, 4])
+            cs = [rng.randint(-4, 4) for _ in range(deg + 1)]
+            if cs:
+                cs[-1] = cs[-1] or 1
+            s = rng.randint(0, 3)
+            alg = TwistedAlgebra.univariate_affine(ZZ, q, h)
+            f = alg.element(tuple(((e,), c) for e, c in enumerate(cs) if c))
+            n_max = 70 if abs(q) ** s <= 2 else 30
+            cases.append((alg, f, s, _substituted_powers(alg, f, n_max, s)))
+    return cases
+
+
+@pytest.mark.parametrize("slot_bits", [None, 1, 10**9])
+def test_integer_twisted_power_matches_substitution(monkeypatch, integer_corpus, slot_bits):
+    # the default packs a prefix of the factors and splits the rest; 1 packs
+    # one factor and splits every bit; 10**9 packs all n factors at once
+    if slot_bits is not None:
+        monkeypatch.setattr(twisted, "PACKED_SLOT_BITS", slot_bits)
+    rng = random.Random(slot_bits)
+    for alg, f, s, expected in integer_corpus:
+        n_max = len(expected) - 1
+        for n in sorted({0, 1, 2, 3, n_max} | set(rng.sample(range(n_max), 6))):
+            assert twisted_power(alg, f, n, s) == expected[n], (alg, f, n, s)
+
+
+@pytest.mark.parametrize("q, h, cs", [
+    (0, 0, (0, 1)), (0, 0, (1, 1)), (0, 0, (0, 2, -1)), (0, 1, (0, 0, 1)), (0, -1, (0, 1)),
+    (1, 0, (0, 1)), (-1, 0, (0, 0, -1)), (-1, 1, (0, 1)), (2, 0, (0, 1)), (1, 0, (-1,)),
+])
+def test_integer_twisted_power_with_factors_of_bound_0_or_1(monkeypatch, q, h, cs):
+    # past the first factor, s^i(f) is 0 or +-1 or +-x^j in some of these
+    # (a = b = 0 when q = h = 0, s(x) = +-x or a constant), which ends the
+    # packed prefix, so it stays within PACKED_SLOT_BITS of the n points
+    alg = TwistedAlgebra.univariate_affine(ZZ, q, h)
+    f = alg.element(tuple(((e,), c) for e, c in enumerate(cs) if c))
+    packed = []
+    tree = twisted.product_tree
+    monkeypatch.setattr(twisted, "product_tree", lambda values, *rest: packed.append(len(values)) or tree(values, *rest))
+    for s in range(4):
+        for n, expected in enumerate(_substituted_powers(alg, f, 9, s)):
+            assert twisted_power(alg, f, n, s) == expected, (q, h, cs, n, s)
+        packed.clear()
+        twisted_power(alg, f, 1000, s)
+        assert max(packed, default=0) <= twisted.PACKED_SLOT_BITS, (q, h, cs, s, packed)
 
 
 def test_affine_sigma_of_high_degree_matches_substitution():

@@ -78,6 +78,66 @@ def test_mul_dense_long(la, lb, signed):
     assert zpoly.mul(a, b) == _oracle_mul(a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(polys, polys)
+def test_mul_ks2_matches_schoolbook(a, b):
+    # every Kronecker product evaluates at +-2^(w/2) when the threshold is 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zpoly, "KS2_MIN_BYTES", 0)
+        assert zpoly.mul(a, b) == _oracle_mul(a, b)
+
+
+@pytest.mark.parametrize("ks2_min_bytes", [0, 2**62])
+@pytest.mark.parametrize("la, lb", [(16, 16), (16, 17), (17, 40), (33, 33)])
+@pytest.mark.parametrize("nbytes", [1, 2, 9, 17])
+def test_mul_at_the_bound(monkeypatch, ks2_min_bytes, la, lb, nbytes):
+    # factors of equal entries +-m give middle coefficients +-min(la, lb)*m^2,
+    # the bound B the slots are sized for, here just below 2^(8*nbytes):
+    # with one factor negative the slots need the extra sign bit
+    monkeypatch.setattr(zpoly, "KS2_MIN_BYTES", ks2_min_bytes)
+    m = math.isqrt((2 ** (8 * nbytes) - 1) // min(la, lb))
+    for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+        a, b = (sa * m,) * la, (sb * m,) * lb
+        assert zpoly.mul(a, b) == _oracle_mul(a, b)
+        alt = tuple((-1) ** i * sa * m for i in range(la))
+        assert zpoly.mul(alt, b) == _oracle_mul(alt, b)
+
+
+@pytest.mark.parametrize("ks2_min_bytes", [0, zpoly.KS2_MIN_BYTES])
+@pytest.mark.parametrize("ea, eb", [(0, 1), (37, 0), (5, 64), (300, 300)])
+def test_mul_strips_common_powers_of_two(monkeypatch, ks2_min_bytes, ea, eb):
+    # large products divide out the power of 2 common to each factor's
+    # coefficients and shift it back into every product coefficient
+    monkeypatch.setattr(zpoly, "KS2_MIN_BYTES", ks2_min_bytes)
+    rng = random.Random(ea * 1000 + eb)
+    a = tuple(rng.randint(-(2**90), 2**90) << ea for _ in range(60)) + (1 << ea,)
+    b = tuple(rng.randint(-(2**90), 2**90) << eb for _ in range(45)) + (-3 << eb,)
+    assert zpoly.mul(a, b) == _oracle_mul(a, b)
+    assert zpoly._twos(a) >= ea and zpoly._twos(b) >= eb
+
+
+def _unpack_or_none(value, nbytes, size, signed):
+    try:
+        return zpoly._unpack(value, nbytes, size, signed)
+    except OverflowError:
+        return None
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 5])
+def test_unpack_reads_the_extreme_slots(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    cases = [
+        ([half - 1, -(half - 1), -half, 0, -1, 1, half - 1, -half], True),
+        ([2 * half - 1, 0, half, 1, 2 * half - 1], False),
+    ]
+    for digits, signed in cases:
+        value = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+        assert zpoly._unpack(value, nbytes, len(digits), signed) == digits
+        # a slot one byte narrower cannot hold these digits
+        if nbytes > 1:
+            assert _unpack_or_none(value, nbytes - 1, len(digits), signed) != digits
+
+
 def test_mul_edge_cases():
     big = 2**64 + 3
     assert zpoly.mul((), (1, 2)) == ()
