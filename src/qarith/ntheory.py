@@ -123,12 +123,15 @@ def carmichael(factors: dict) -> int:
     return lam
 
 
-def multiplicative_order(a: int, n: int, exponent: int, primes) -> int:
-    """Order of the unit a mod n, given a multiple ``exponent`` of it and
-    the primes dividing that exponent."""
+def multiplicative_order(a, mod, exponent: int, primes, power=pow) -> int:
+    """Order of the unit a modulo mod, given a multiple ``exponent`` of it
+    and the primes dividing that exponent: each prime is divided out of the
+    exponent while a to the quotient stays one.  ``power(a, k, mod)`` is
+    a^k: the built-in ``pow`` for an integer mod, or any other group's own."""
+    one = power(a, 0, mod)
     order = exponent
     for r in primes:
-        while order % r == 0 and pow(a, order // r, n) == 1 % n:
+        while order % r == 0 and power(a, order // r, mod) == one:
             order //= r
     return order
 

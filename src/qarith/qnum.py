@@ -13,6 +13,15 @@ M^k for M = [[1, 1], [0, q]].  On Z/n with q not 0 or 1 it comes in closed
 form from one modular power, since (k)_q = (q^k - 1)/(q - 1) exactly; on
 every other ring M is squared and multiplied (``_matrix_power``).
 
+On the finite rings Z/n and Z/n[X]/(mu) the quantum characteristic and
+flatness of a unit q follow from d = ord(q), found without walking the
+orbit of q: on Z/n from the factored Carmichael function, on Z/n[X]/(mu)
+from the factored order of the unit group, which the degrees of the
+distinct irreducible factors of mu mod each p | n give
+(``QuotientRing.unit_order``).  A walk of q^m remains for orders below
+log2(|R|)^2 on a quotient, where it is the cheaper way, and where n or
+|R^*| resists factoring.
+
 Binomial coefficients take one of two routes, both division-free:
 
 * rows n <= ``PASCAL_MAX_ROW`` on every ring, and every row on rings without
@@ -306,34 +315,54 @@ def _order_and_char(ring, qp, bound, walk=False):
 
     (m)_q = 0 forces q^m = 1, since (1 - q)(m)_q = 1 - q^m, and once q^d = 1,
     (kd)_q = k * (d)_q: the zeros of (m)_q are the multiples of p, and p = 0
-    when o is infinite (on a torsion-free ring).  On Z/n, d is
-    ``ModularRing.unit_order`` (UnsupportedError when n resists factoring)
-    unless ``walk`` is set, and o = n / gcd(n, v).  Elsewhere q^m is walked
-    up to min(bound, ``root_of_unity_order_bound()``), and o comes from the
-    characteristic n: starting from o = n, each prime of n is divided out
-    while o * v stays 0.  d is None when no q^m = 1 was seen, with p = 0
-    past the root-of-unity order bound; p is None when undecided within
-    ``bound``, or when n is 0 or resists factoring.  A p on Z/n, or derived
-    with o > 1, is checked by M^p = 1.
+    when o is infinite (on a torsion-free ring).
+
+    On a finite ring (Z/n or Z/n[X]/(mu)), unless ``walk`` is set, d is
+    ``ring.unit_order`` (UnsupportedError when n, or on a quotient |R^*|,
+    resists factoring), checked by q^d = 1, and o = n / gcd(n, v) for v
+    read as residues mod n.  On a quotient one power costs up to about
+    2 log2|R| ring products, and the order test takes one power per prime
+    factor of |R^*| (with multiplicity), up to log2|R| of them; so q^m is
+    first walked for up to log2(|R|)^2 steps, which reads a small order off
+    the walk for no more than the test's worst case.  On Z/n a power is one
+    modular ``pow`` and nothing is walked.
+
+    Elsewhere q^m is walked up to min(bound, ``root_of_unity_order_bound()``),
+    and o comes from the characteristic n: starting from o = n, each prime of
+    n is divided out while o * v stays 0.  d is None when no q^m = 1 was seen,
+    with p = 0 past the root-of-unity order bound; p is None when undecided
+    within ``bound``, or when n is 0 or resists factoring.  A p walked with
+    o > 1 is checked by M^p = 1; from the structure, q^d = 1 is checked, and
+    with o * (d)_q = 0 it gives M^p = (M^d)^o = [[1, o (d)_q], [0, 1]] = 1.
     """
     zero, one = ring._zero(), ring._one()
-    zn = type(ring) is ModularRing
-    if zn and not walk:
-        d = ring.unit_order(qp)
-        v = _matrix_power(ring, qp, d)[0]
-    else:
+    finite = ring.finite and not walk
+    if not finite:
         order_bound = ring.root_of_unity_order_bound()
+        steps = bound if order_bound is None else min(bound, order_bound)
+    elif type(ring) is ModularRing:
+        steps = 0
+    else:
+        steps = ring.cardinality.bit_length() ** 2
+    d = None
+    if steps:
         s, pw = zero, one
-        for m in range(1, 1 + (bound if order_bound is None else min(bound, order_bound))):
+        for m in range(1, steps + 1):
             s, pw = ring._add(s, pw), ring._mul(pw, qp)
             if pw == one:
                 d, v = m, s
                 break
-        else:
+    from_structure = d is None
+    if from_structure:
+        if not finite:
             return None, (0 if order_bound is not None and order_bound <= bound else None)
+        d = ring.unit_order(qp)
+        v, qd = _matrix_power(ring, qp, d)
+        if qd != one:
+            raise InternalError(f"q^{d} != 1 for q = {qp} in {ring}")
     n = ring.characteristic
-    if zn:
-        o = n // math.gcd(n, v)
+    if finite:  # v is a residue mod n, or a vector of them
+        o = n // (math.gcd(n, *v) if type(v) is tuple else math.gcd(n, v))
     elif v == zero:
         o = 1
     elif ring.torsion_free:
@@ -350,7 +379,7 @@ def _order_and_char(ring, qp, bound, walk=False):
             while o % prime == 0 and ring._mul(ring._from_int(o // prime), v) == zero:
                 o //= prime
     p = d * o
-    if (zn or o > 1) and _matrix_power(ring, qp, p) != (zero, one):
+    if not from_structure and o > 1 and _matrix_power(ring, qp, p) != (zero, one):
         raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")
     return d, p
 
@@ -363,10 +392,14 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
 
     * ``non-unit q`` (finite rings): (m)_q = 0 forces q^m = 1, so q would be
       a unit;
-    * ``matrix-order`` (Z/n): d from the factored Carmichael function, so
-      p = ord([[1, 1], [0, q]]) without a walk;
-    * ``period-walk``: d found by walking q^m, then p = d * o; on Z/n when
-      n resists factoring, on every other ring with finite p;
+    * ``matrix-order`` (finite rings): p = ord([[1, 1], [0, q]]) from the
+      structure, whatever ``bound`` allows: on Z/n d comes from the factored
+      Carmichael function; on Z/n[X]/(mu) from the factored order of the
+      unit group, unless a walk of at most log2(|R|)^2 steps meets q^d = 1
+      first;
+    * ``period-walk``: d found by walking q^m up to ``bound``, then
+      p = d * o; on a finite ring when n or |R^*| resists factoring, on
+      every other ring with finite p;
     * ``q^d=1 & torsion-free``: (d)_q != 0 on a Z-torsion-free ring, so
       (kd)_q = k * (d)_q never vanishes;
     * ``root-of-unity bound``: q^m != 1 for every m up to the ring's
@@ -381,7 +414,7 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
         if ring.finite and ring._invert(qp) is None:
             return QCharResult.zero("non-unit q")
         d, p = _order_and_char(ring, qp, bound)
-        rule = "matrix-order" if type(ring) is ModularRing else "period-walk"
+        rule = "matrix-order" if ring.finite else "period-walk"
     except UnsupportedError:  # n resists factoring: walking is still sound
         (d, p), rule = _order_and_char(ring, qp, bound, walk=True), "period-walk"
     if p is None or p > bound:
@@ -422,13 +455,17 @@ def _nonunit_state_candidates(ring, qp):
     when some residue field k sees v = 0.  Unit q: the zeros of (m)_q are
     the multiples of P = ord(M); k sees (m)_q = 0 exactly at the multiples
     of ord(M) over k, a divisor of P, so the least nonunit nonzero state
-    sits at a proper divisor of P, and only those are tried.  Non-unit q:
-    (m)_q is never 0.  If q is nilpotent the states are constant from the
-    first m with q^m = 0 on; otherwise some k sees q as a unit and so sees
-    (m)_q = 0 for some m <= |k|.  Either way the walk ends within |R| steps.
+    sits at a proper divisor of P, and only those are tried.  P comes from
+    ``_order_and_char`` (on a quotient from the unit group's order, or a
+    short walk), and the states at its divisors cost O(tau(P) log P) ring
+    operations, however large the orbit; UnsupportedError when n or |R^*|
+    resists factoring.  Non-unit q: (m)_q is never 0.  If q is nilpotent
+    the states are constant from the first m with q^m = 0 on; otherwise some
+    k sees q as a unit and so sees (m)_q = 0 for some m <= |k|.  Either way
+    the walk ends within |R| steps.
     """
     if ring._invert(qp) is not None:
-        _, p = _order_and_char(ring, qp, ring.cardinality**2)
+        _, p = _order_and_char(ring, qp, None)  # a finite ring takes no bound
         for m in ntheory.divisors(ntheory.factorize(p))[:-1]:
             yield m, _matrix_power(ring, qp, m)[0]
         return

@@ -24,10 +24,13 @@ loops over them: ``dense_strip``, ``dense_add``, ``dense_neg``,
 ``dense_mul``, ``dense_divmod`` (remainder division by a unit leading
 coefficient), ``dense_euclid`` (extended Euclid over a field) and
 ``dense_scale``.  ``PolynomialRing``, ``QuotientRing`` and the dense path of
-``twisted`` all use them.  Over an exact ``IntegerRing`` base ``dense_add``
-and ``dense_mul`` hand the tuples to the integer kernel ``zpoly``, which a
-quotient of Z[x] by chi_m (``zpoly.mul`` and ``zpoly.reduce_cyclotomic``)
-and ``Q(t)`` (numerators and denominators) use directly; see ``zpoly`` for
+``twisted`` all use them.  Over an exact ``IntegerRing`` base ``dense_add``,
+``dense_mul`` and ``dense_divmod`` hand the tuples to the integer kernel
+``zpoly``, and over a ``ModularRing`` base they compute on the same ints and
+reduce each coefficient mod n once; a quotient of Z[x] by chi_m
+(``zpoly.mul`` and ``zpoly.reduce_cyclotomic``), any other quotient of Z[x]
+or Z/n[x] (``zpoly.mul`` and ``zpoly.divrem``) and ``Q(t)``
+(numerators and denominators) use the kernel directly; see ``zpoly`` for
 how it multiplies.  The sparse
 (exponent, coefficient) payloads of ``Z[t,1/t]`` and ``TwistedAlgebra`` use
 ``sparse_normalize``, ``sparse_add``, ``sparse_neg`` and ``sparse_mul``,
@@ -182,13 +185,8 @@ class RingElement:
         if n < 0:
             base = self.inverse()
             n = -n
-        acc = self.ring.one
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        ring = self.ring
+        return RingElement(ring, _payload_power(ring._mul, ring._one(), base.payload, n))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -596,6 +594,14 @@ def _fmt_terms(terms):
 # ---------------------------------------------------------------------------
 
 
+def _reduce_mod(cs, n):
+    """The integer polynomial cs reduced into Z/n[x]."""
+    out = [c % n for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def dense_strip(base, cs):
     """The list cs of base payloads as a tuple without trailing zeros."""
     z = base._zero()
@@ -605,29 +611,43 @@ def dense_strip(base, cs):
 
 
 def dense_add(base, a, b):
-    """a + b; over Z by the integer kernel."""
-    if type(base) is IntegerRing:
+    """a + b; over Z by the integer kernel, over Z/n on ints reduced once."""
+    kind = type(base)
+    if kind is IntegerRing:
         return zpoly.add(a, b)
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    add = base._add
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
+    if kind is ModularRing:
+        n = base.n
+        for i, c in enumerate(b):
+            s = out[i] + c
+            out[i] = s if s < n else s - n
+    else:
+        add = base._add
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
     return dense_strip(base, out)
 
 
 def dense_neg(base, a):
-    """-a."""
+    """-a; over Z/n on ints."""
+    if type(base) is ModularRing:
+        n = base.n
+        return tuple([n - c if c else 0 for c in a])
     neg = base._neg
     return tuple(neg(c) for c in a)
 
 
 def dense_mul(base, a, b):
-    """a * b over a commutative base: the integer kernel over Z, else a
-    schoolbook loop on the base payload ops that skips zero coefficients."""
-    if type(base) is IntegerRing:
+    """a * b over a commutative base: the integer kernel over Z and over Z/n
+    (then each coefficient reduced once), else a schoolbook loop on the base
+    payload ops that skips zero coefficients."""
+    kind = type(base)
+    if kind is IntegerRing:
         return zpoly.mul(a, b)
+    if kind is ModularRing:
+        return _reduce_mod(zpoly.mul(a, b), base.n)
     if not a or not b:
         return ()
     z = base._zero()
@@ -648,6 +668,12 @@ def dense_mul(base, a, b):
 def dense_divmod(base, a, b):
     """(q, r) with a = q*b + r and deg r < deg b; the leading coefficient of
     b must be a unit of base."""
+    kind = type(base)
+    if kind is IntegerRing or kind is ModularRing:
+        try:
+            return zpoly.divrem(a, b, base.n if kind is ModularRing else 0)
+        except ValueError:
+            raise UnsupportedError("division requires a unit leading coefficient") from None
     inv = base._invert(b[-1])
     if inv is None:
         raise UnsupportedError("division requires a unit leading coefficient")
@@ -680,7 +706,11 @@ def dense_euclid(base, a, m):
 
 
 def dense_scale(base, cs, c):
-    """cs / c, for a unit c of base."""
+    """cs / c, for a unit c of base; over Z/n on ints."""
+    if type(base) is ModularRing:
+        n = base.n
+        inv = pow(c, -1, n)
+        return tuple([d * inv % n for d in cs])
     inv = base._invert(c)
     mul = base._mul
     return tuple(mul(d, inv) for d in cs)
@@ -1063,20 +1093,74 @@ class RationalFunctionField(Ring):
         return 2
 
 
-def _mod_p(cs, p):
-    return zpoly.strip(c % p for c in cs)
+def _payload_power(mul, one, a, k):
+    """a^k for k >= 0 by square and multiply, through the payload product mul."""
+    acc = one
+    while k:
+        if k & 1:
+            acc = mul(acc, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return acc
+
+
+def _ring_power(a, k, ring):
+    """a^k in ring, for the payload a and k >= 0, in the form of pow(a, k, n)."""
+    return _payload_power(ring._mul, ring._one(), a, k)
+
+
+def _factor_degrees(fp, f):
+    """Degrees of the distinct monic irreducible factors of the monic f over
+    the field fp = Z/p, one entry per factor.
+
+    Distinct-degree factorization (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 14.2): X^(p^i) - X is the product of the monic
+    irreducibles of degree dividing i, each once, so once every factor of
+    degree below i is divided out of f, gcd(f, X^(p^i) - X) is the product
+    of the distinct factors of degree i.  Each is then divided out with all
+    its powers, which takes the squarefree part on the way: a repeated
+    factor is counted once, and f' = 0 (f a p-th power) needs no p-th root.
+    When deg f < 2i what is left is one irreducible factor.
+    """
+    p, x = fp.n, (0, 1)
+
+    def gcd(a, b):  # monic
+        g = dense_euclid(fp, a, b)[0]
+        return dense_scale(fp, g, g[-1])
+
+    degrees, h, i = [], x, 0  # h = X^(p^i) mod f
+    while len(f) > 1:
+        i += 1
+        if len(f) - 1 < 2 * i:
+            degrees.append(len(f) - 1)
+            break
+        h = _payload_power(lambda a, b: zpoly.divrem(zpoly.mul(a, b), f, p)[1], (1,), h, p)
+        g = gcd(dense_add(fp, h, dense_neg(fp, x)), f)
+        if len(g) > 1:
+            degrees += [i] * ((len(g) - 1) // i)
+            while len(g) > 1:
+                f = dense_divmod(fp, f, g)[0]
+                g = gcd(g, f)
+            h = dense_divmod(fp, h, f)[1]
+    return degrees
 
 
 class QuotientRing(Ring):
     """B[x]/(mu) for B = Z/n or Q, or B = Z with a monic mu; mu nonconstant
     with unit leading coefficient.
 
+    Over Z/n and over Z (mu monic) a product is one ``zpoly.mul`` and one
+    remainder by mu made monic (``zpoly.divrem``, reducing mod n).
     Units and annihilators are decided by extended Euclid over a field: over
     Q directly, over Z/n modulo each prime p | n, where v is a unit exactly
     when gcd(v mod p, mu mod p) = 1 for every p.  Inverses modulo the primes
     are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
-    with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Nothing
-    enumerates the ring, but n must factor (``ModularRing.factors``).  Over
+    with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Over
+    Z/n the order of the unit group, from distinct-degree factorization of
+    mu mod each p | n (``_unit_group``), gives ``unit_order``.  Nothing
+    enumerates the ring, but n must factor (``ModularRing.factors``), and
+    for ``unit_order`` so must each p^k - 1.  Over
     Z (mu monic) a unit is an element whose inverse over Q has integer
     coefficients; annihilators over Z raise UnsupportedError.  A modulus
     chi_m over Z or Q, up to a unit and of degree at most
@@ -1087,6 +1171,8 @@ class QuotientRing(Ring):
 
     cyclotomic_index = None
     _fold = None  # (m, chi_m) when products fold modulo t^m - 1
+    _kernel = None  # (mu made monic, n) when products divide in zpoly.divrem; n = 0 over Z
+    _units = None  # (|R^*|, the primes dividing it), kept by unit_order
 
     def __init__(self, polyring, modulus):
         if not isinstance(polyring, PolynomialRing):
@@ -1109,14 +1195,20 @@ class QuotientRing(Ring):
         self.torsion_free = self.base.torsion_free
         self.characteristic = self.base.characteristic
         self._fields = None
+        kind = type(self.base)
         # Cyclo(m) sets the index itself and skips the scan
-        if self.cyclotomic_index is None and type(self.base) in (IntegerRing, RationalField):
+        if self.cyclotomic_index is None and kind in (IntegerRing, RationalField):
             self.cyclotomic_index = _is_cyclotomic(dense_scale(self.base, modulus, modulus[-1]))
         m = self.cyclotomic_index
         if m is not None:
             self.is_domain, self.is_field = True, self.base.is_field
+        if m is not None and kind is IntegerRing:
             # fold by chi_m itself, since the modulus may be -chi_m
-            self._fold = (m, cyclotomic_poly(m)) if type(self.base) is IntegerRing else None
+            self._fold = (m, cyclotomic_poly(m))
+        elif kind is IntegerRing or kind is ModularRing:
+            lead = modulus[-1]
+            monic = modulus if lead == 1 else dense_scale(self.base, modulus, lead)
+            self._kernel = (monic, self.base.n if kind is ModularRing else 0)
 
     def normalize(self, payload):
         _, r = dense_divmod(self.base, self.polyring.normalize(payload), self.modulus)
@@ -1131,6 +1223,8 @@ class QuotientRing(Ring):
     def _mul(self, a, b):
         if self._fold:
             return zpoly.reduce_cyclotomic(zpoly.mul(a, b), *self._fold)
+        if self._kernel:
+            return zpoly.divrem(zpoly.mul(a, b), *self._kernel)[1]
         prod = dense_mul(self.base, a, b)
         if len(prod) < len(self.modulus):
             return prod
@@ -1157,7 +1251,7 @@ class QuotientRing(Ring):
         # steps x <- x(2 - ax), each squaring the error 1 - ax, up to n
         parts = []
         for p, fp, mu_p, crt in self._residue_fields():
-            g, s = dense_euclid(fp, _mod_p(a, p), mu_p)
+            g, s = dense_euclid(fp, _reduce_mod(a, p), mu_p)
             if len(g) > 1:
                 return None
             parts.append((dense_scale(fp, s, g[0]), crt))
@@ -1176,11 +1270,39 @@ class QuotientRing(Ring):
         # a is a zero divisor iff g = gcd(a, mu) != 1 modulo some prime p | n;
         # then (mu/g) kills a modulo p, and n/p times it kills a modulo n
         for p, fp, mu_p, _ in self._residue_fields():
-            g, _ = dense_euclid(fp, _mod_p(a, p), mu_p)
+            g, _ = dense_euclid(fp, _reduce_mod(a, p), mu_p)
             if len(g) > 1:
                 h, _ = dense_divmod(fp, mu_p, g)
                 return self.normalize(tuple(self.base.n // p * c for c in h))
         return None
+
+    def unit_order(self, a):
+        """Multiplicative order of the unit a, over a base Z/n, from the
+        factored order of the unit group (``_unit_group``)."""
+        count, primes = _memo(self, "_units", self._unit_group)
+        return ntheory.multiplicative_order(a, self, count, primes, _ring_power)
+
+    def _unit_group(self):
+        """(|R^*|, the primes dividing it) for R = Z/n[x]/(mu).
+
+        R is the product of the R_p = Z/p^e[x]/(mu) over p^e || n, and a
+        unit of R_p is an element whose image in Z/p[x]/(f) is a unit for
+        every distinct irreducible factor f of mu mod p.  So
+        |R_p^*| = |R_p| * prod_f (1 - p^(-deg f)), which factors piecewise
+        as p^(e deg mu - sum deg f) times the numbers p^(deg f) - 1.  The
+        degrees come from ``_factor_degrees``; UnsupportedError when n or a
+        p^(deg f) - 1 resists ``ntheory.factorize``.
+        """
+        d, count, primes = len(self.modulus) - 1, 1, set()
+        for p, fp, mu_p, _ in self._residue_fields():
+            degrees = _factor_degrees(fp, dense_scale(fp, mu_p, mu_p[-1]))
+            e = self.base.factors()[p]
+            count *= p ** (e * d - sum(degrees)) * math.prod(p**k - 1 for k in degrees)
+            if e * d > sum(degrees):
+                primes.add(p)
+            for k in set(degrees):
+                primes.update(ntheory.factorize(p**k - 1))
+        return count, tuple(sorted(primes))
 
     def _residue_fields(self):
         """(p, Z/p, mu mod p, CRT idempotent of p mod rad(n)) for each prime p | n."""
@@ -1191,7 +1313,7 @@ class QuotientRing(Ring):
             primes = list(self.base.factors())
             rad = math.prod(primes)
             return [
-                (p, ModularRing(p), _mod_p(self.modulus, p), rad // p * pow(rad // p, -1, p))
+                (p, ModularRing(p), _reduce_mod(self.modulus, p), rad // p * pow(rad // p, -1, p))
                 for p in primes
             ]
 

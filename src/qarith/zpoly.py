@@ -1,12 +1,17 @@
 """Dense integer polynomials: the one kernel behind Z[t], Z[t]/(chi_m) and Q(t).
 
 A polynomial is a tuple of ints, constant term first, with no trailing zeros
-(``strip`` makes one from any sequence).  ``rings.dense_add`` and
-``rings.dense_mul`` hand polynomials over an exact ``IntegerRing`` base here,
-so ``PolynomialRing`` over Z and the dense twisted powers over Z add and
-multiply with ``add`` and ``mul``.  Z[t]/(chi_m) and ``qnum``'s cyclotomic
-q-binomials reduce with ``reduce_cyclotomic``, and ``RationalFunctionField``
-(Q(t) and Q(t^(1/L))) keeps numerators and denominators as these tuples.
+(``strip`` makes one from any sequence).  ``rings.dense_add``,
+``rings.dense_mul`` and ``rings.dense_divmod`` hand polynomials over an exact
+``IntegerRing`` base here, so ``PolynomialRing`` over Z and the dense twisted
+powers over Z add and multiply with ``add`` and ``mul``; over Z/n they
+multiply with ``mul`` too and reduce once.  ``divrem`` divides by a
+polynomial with a unit leading coefficient over Z, or over Z/n with the
+quotient reduced as it goes: it is ``rings.dense_divmod`` over both, and the
+remainder of every quotient ring of Z[t] or Z/n[t] by a modulus other than
+chi_m.  Z[t]/(chi_m) and ``qnum``'s cyclotomic q-binomials reduce with
+``reduce_cyclotomic``, and ``RationalFunctionField`` (Q(t) and Q(t^(1/L)))
+keeps numerators and denominators as these tuples.
 ``gcd`` runs the primitive polynomial remainder sequence (Knuth, TAOCP
 vol. 2, 4.6.1): pseudo-remainders, each made primitive, so every step stays
 in Z[t].
@@ -266,6 +271,44 @@ def divexact(a, b):
     if any(r[:db]):
         raise InternalError("inexact polynomial division")
     return strip(q)
+
+
+def divrem(a, b, n=0):
+    """(q, r) with a = q*b + r and deg r < deg b, where the leading
+    coefficient of b is a unit: +-1 over Z, or a unit mod n when n > 0;
+    ValueError otherwise.
+
+    With n > 0 the division runs in Z/n[t]: each quotient coefficient is
+    reduced into [0, n) as it is found, and q and r come back reduced, with
+    no trailing zeros.  For b with entries in [0, n) the working remainder
+    then stays within len(a) * n^2 of a, entry by entry.
+    """
+    d, lead = len(b) - 1, b[-1]
+    if n:
+        inv = 1 if lead == 1 else pow(lead, -1, n)
+    elif lead in (1, -1):
+        inv = lead
+    else:
+        raise ValueError(f"{lead} is not a unit of Z")
+    low = b[:d]
+    r = list(a)
+    q = []
+    while len(r) > d:
+        c = r.pop() * inv
+        if n:
+            c %= n
+        q.append(c)
+        if c:
+            for j, m in enumerate(low, len(r) - d):
+                r[j] -= c * m
+    if n:
+        r = [c % n for c in r]
+    while r and r[-1] == 0:
+        r.pop()
+    q.reverse()
+    while q and q[-1] == 0:  # the top of a may vanish mod n
+        q.pop()
+    return tuple(q), tuple(r)
 
 
 def gcd(a, b):

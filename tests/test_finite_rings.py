@@ -3,6 +3,7 @@ annihilators of Z/n and Z/n[X]/(mu), checked against plain-int oracles that
 walk and enumerate (nothing here calls the code paths under test to build an
 expectation)."""
 
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,9 @@ from qarith import (
 )
 from qarith.cli import main
 from qarith.qnum import _matrix_power
+from qarith.rings import _factor_degrees
 from conftest import run_python
+from helpers import Model
 
 # --- plain-int oracles --------------------------------------------------------
 
@@ -51,75 +54,23 @@ def plain_order(q, p):
     return order
 
 
-class Model:
-    """Z/n[X]/(mu) on fixed-length coefficient tuples, mu monic, constant first."""
-
-    def __init__(self, n, mu):
-        self.n, self.mu, self.d = n, mu, len(mu) - 1
-        self.zero = (0,) * self.d
-        self.one = (1 % n,) + (0,) * (self.d - 1)
-
-    def elements(self):
-        return itertools.product(range(self.n), repeat=self.d)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.n for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        n, d, mu = self.n, self.d, self.mu
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k] % n
-            for j in range(d + 1):
-                prod[k - d + j] -= c * mu[j]
-        return tuple(x % n for x in prod[:d])
-
-    def pad(self, payload):
-        return tuple(payload) + (0,) * (self.d - len(payload))
-
-    def is_unit_by_rank(self, v):
-        """n prime: v is a unit iff multiplication by v has full rank over F_n."""
-        p = self.n
-        basis = [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
-        rows = [list(self.mul(v, e)) for e in basis]
-        rank = 0
-        for col in range(self.d):
-            pivot = next((r for r in range(rank, self.d) if rows[r][col] % p), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [x * inv % p for x in rows[rank]]
-            for r in range(self.d):
-                if r != rank and rows[r][col]:
-                    c = rows[r][col]
-                    rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank == self.d
-
-    def flatness(self, q, is_unit):
-        """(flat, divisible, least m with (m)_q nonzero and not a unit), by walking the orbit."""
-        seen = set()
-        s, pw, m = self.zero, self.one, 0
-        while (s, pw) not in seen:
-            seen.add((s, pw))
-            if s != self.zero and not is_unit(s):
-                return False, False, m
-            s, pw, m = self.add(s, pw), self.mul(pw, q), m + 1
-        return True, True, None
-
-    def state(self, q, m):
-        s, pw = self.zero, self.one
-        for _ in range(m):
-            s, pw = self.add(s, pw), self.mul(pw, q)
-        return s
-
-
 def quotient(n, mu):
     return QuotientRing(PolynomialRing(ModularRing(n), "X"), mu)
+
+
+@functools.lru_cache(maxsize=None)
+def model_units(n, mu):
+    """The units of Z/n[X]/(mu), by trying every product."""
+    model = Model(n, mu)
+    elems = list(model.elements())
+    return frozenset(v for v in elems if any(model.mul(v, w) == model.one for w in elems))
+
+
+def plain_unit_order(model, q):
+    m, pw = 1, q
+    while pw != model.one:
+        m, pw = m + 1, model.mul(pw, q)
+    return m
 
 
 # prime, prime-power and mixed moduli; mu split, repeated, nilpotent or irreducible mod p
@@ -131,6 +82,16 @@ QUOTIENTS = [
     (8, (1, 1, 0, 1)),
     (9, (1, 0, 1)),
     (25, (2, 0, 1)),
+    # not squarefree mod p: X^3 - 1 = (X - 1)^3 mod 3 and X^4 + 1 = (X + 1)^4
+    # mod 2, where mu' = 0 mod p; (X + 1)^2 mod 2, (X - 1)^2 mod 3, X^2
+    (3, (2, 0, 0, 1)),
+    (4, (1, 0, 1)),
+    (9, (1, 1, 1)),
+    (2, (1, 0, 0, 0, 1)),
+    (8, (0, 0, 1)),
+    # factors of degrees 1, 2 and 3 mod 2; (X + 1)^2 (X^2 + 1) mod 3
+    (2, (0, 1, 0, 0, 0, 1, 1)),
+    (3, (1, 2, 2, 2, 1)),
 ]
 
 
@@ -334,7 +295,7 @@ def test_quotient_inverse_and_annihilator_match_enumeration(n, mu):
 def test_quotient_flatness_and_characteristic_match_enumeration(n, mu):
     ring, model = quotient(n, mu), Model(n, mu)
     elems = list(model.elements())
-    units = {v for v in elems if any(model.mul(v, w) == model.one for w in elems)}
+    units = model_units(n, mu)
     for q in elems:
         ctx = QContext(ring, ring.element(q))
         cert = certify_flatness(ctx)
@@ -347,7 +308,111 @@ def test_quotient_flatness_and_characteristic_match_enumeration(n, mu):
             assert model.mul(model.state(q, m), a) == model.zero
         res = q_characteristic(ctx)
         assert res.certified and res.p == _plain_quotient_qchar(model, q), (n, mu, q)
-        assert res.rule == ("period-walk" if q in units else "non-unit q")
+        assert res.rule == ("matrix-order" if q in units else "non-unit q")
+
+
+@pytest.mark.parametrize("n,mu", QUOTIENTS)
+def test_unit_group_order_and_unit_orders_match_enumeration(n, mu):
+    # |R^*| from the degrees of the distinct factors of mu mod each p | n,
+    # against the unit count; ord(q) by dividing primes out of |R^*|,
+    # against walking q^m, for every unit q
+    ring, model = quotient(n, mu), Model(n, mu)
+    units = model_units(n, mu)
+    count, primes = ring._unit_group()
+    assert count == len(units), (n, mu)
+    assert primes == tuple(ntheory.factorize(count)), (n, mu)
+    for q in units:
+        assert ring.unit_order(ring.normalize(q)) == plain_unit_order(model, q), (n, mu, q)
+
+
+def _poly_mul_mod(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning:sympy.*")
+def test_factor_degrees_match_sympy():
+    # monic f over Z/p drawn as products of powers of monic factors of degree
+    # 1 to 3, up to p-th powers so that f' can vanish; sympy (which never
+    # calls qarith) gives the degrees of the distinct irreducible factors
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(21)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            for _ in range(rng.randint(1, p + 1)):
+                f = _poly_mul_mod(f, g, p)
+        expr = sum(c * x**i for i, c in enumerate(f))
+        _, factors = sympy.factor_list(expr, modulus=p)
+        expected = sorted(sympy.degree(h, x) for h, _ in factors)
+        assert sorted(_factor_degrees(ModularRing(p), tuple(f))) == expected, (p, f)
+
+
+def plain_power(model, q, k):
+    acc = model.one
+    while k:
+        if k & 1:
+            acc = model.mul(acc, q)
+        q, k = model.mul(q, q), k >> 1
+    return acc
+
+
+def test_cubic_over_a_large_prime_by_structure(capsys):
+    # X^3 + 2 is irreducible mod n = 1000003 (sympy), so R = F_(n^3) is a
+    # field, flat and divisible, and |R^*| = n^3 - 1.  d = 1500003 is ord(X):
+    # X^d = 1 and X^(d/l) != 1 for each prime l | d, by plain-int powering.
+    # In a field (d)_X = (X^d - 1)/(X - 1) = 0, so p = d.
+    sympy = pytest.importorskip("sympy")
+    n, mu, d = 1000003, (2, 0, 0, 1), 1500003
+    x = sympy.symbols("x")
+    _, factors = sympy.factor_list(x**3 + 2, modulus=n)
+    assert [(sympy.degree(h, x), e) for h, e in factors] == [(3, 1)]
+    model, q = Model(n, mu), (0, 1, 0)
+    assert plain_power(model, q, d) == model.one
+    assert all(plain_power(model, q, d // ell) != model.one for ell in sympy.factorint(d))
+    ring = quotient(n, mu)
+    assert ring._unit_group()[0] == n**3 - 1
+    assert main(["qflat", "--ring", "Z/1000003[X]/(X^3+2)", "--q", "X"]) == 0
+    assert capsys.readouterr().out == "flat=true divisible=true\n"
+    assert main(["qchar", "--ring", "Z/1000003[X]/(X^3+2)", "--q", "X", "--bound", str(10**19), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == {"p": d, "certified": True, "bound": None}
+    assert payload["certificate"] == {"rule": "matrix-order"}
+
+
+def test_unit_group_that_resists_factoring_falls_back_to_the_walk(monkeypatch):
+    # ord(X) in Z/7[X]/(X^4 + X + 3) is above the log2(|R|)^2 = 144 steps
+    # walked first, so the order comes from |R^*| = (7 - 1)(7^3 - 1); when
+    # those pieces cannot be factored the characteristic walks the period
+    # instead, and flatness, which needs the whole period, raises
+    n, mu = 7, (3, 1, 0, 0, 1)
+    model, q = Model(n, mu), (0, 1, 0, 0)
+    d = plain_unit_order(model, q)
+    p = d if model.state(q, d) == model.zero else d * n
+    assert d > 144
+    ring = quotient(n, mu)
+    res = q_characteristic(QContext(ring, ring.generator), bound=10**4)
+    assert (res.p, res.certified, res.rule) == (p, True, "matrix-order")
+
+    factorize = ntheory.factorize
+
+    def resist(m):
+        if m > n:
+            raise UnsupportedError(f"{m} resists")
+        return factorize(m)
+
+    monkeypatch.setattr(ntheory, "factorize", resist)
+    ring = quotient(n, mu)
+    res = q_characteristic(QContext(ring, ring.generator), bound=10**4)
+    assert (res.p, res.certified, res.rule) == (p, True, "period-walk")
+    with pytest.raises(UnsupportedError):
+        certify_flatness(QContext(ring, ring.generator))
 
 
 def _plain_quotient_qchar(model, q):

@@ -308,3 +308,15 @@ def test_q_binomial_over_rational_functions_matches_sympy():
             for i in range(1, k + 1):
                 expected *= (1 - q ** (n - k + i)) / (1 - q**i)
             assert q_binomial(ctx, n, k).payload == _sympy_normal_form(expected, x), (n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys.filter(bool), st.sampled_from([1, -1]))
+def test_divrem_by_a_unit_leading_coefficient(a, b, lead):
+    b = tuple(b) + (lead,)
+    q, r = zpoly.divrem(a, b)
+    assert len(r) < len(b) and zpoly.add(zpoly.mul(q, b), r) == a
+    if lead == 1:
+        assert r == _oracle_rem(a, b)
+    with pytest.raises(ValueError):
+        zpoly.divrem(a, tuple(b[:-1]) + (2 * lead,))
