@@ -18,9 +18,9 @@ flatness of a unit q follow from d = ord(q), found without walking the
 orbit of q: on Z/n from the factored Carmichael function, on Z/n[X]/(mu)
 from the factored order of the unit group, which the degrees of the
 distinct irreducible factors of mu mod each p | n give
-(``QuotientRing.unit_order``).  A walk of q^m remains for orders below
-log2(|R|)^2 on a quotient, where it is the cheaper way, and where n or
-|R^*| resists factoring.
+(``QuotientRing.unit_order``).  A walk of q^m remains for orders that
+it reaches within the squarings of that order test on a quotient, and
+where n or |R^*| resists factoring.
 
 Binomial coefficients take one of two routes, both division-free:
 
@@ -320,12 +320,12 @@ def _order_and_char(ring, qp, bound, walk=False):
     On a finite ring (Z/n or Z/n[X]/(mu)), unless ``walk`` is set, d is
     ``ring.unit_order`` (UnsupportedError when n, or on a quotient |R^*|,
     resists factoring), checked by q^d = 1, and o = n / gcd(n, v) for v
-    read as residues mod n.  On a quotient one power costs up to about
-    2 log2|R| ring products, and the order test takes one power per prime
-    factor of |R^*| (with multiplicity), up to log2|R| of them; so q^m is
-    first walked for up to log2(|R|)^2 steps, which reads a small order off
-    the walk for no more than the test's worst case.  On Z/n a power is one
-    modular ``pow`` and nothing is walked.
+    read as residues mod n.  On a quotient the order test takes at most one
+    power per prime factor of |R^*| (with multiplicity), each with up to
+    log2|R^*| squarings; a step of the walk takes one product (and an
+    addition), so q^m is first walked for that many steps, and a small
+    order is read off the walk.  On Z/n a power is one modular ``pow`` and
+    nothing is walked.
 
     Elsewhere q^m is walked up to min(bound, ``root_of_unity_order_bound()``),
     and o comes from the characteristic n: starting from o = n, each prime of
@@ -342,8 +342,9 @@ def _order_and_char(ring, qp, bound, walk=False):
         steps = bound if order_bound is None else min(bound, order_bound)
     elif type(ring) is ModularRing:
         steps = 0
-    else:
-        steps = ring.cardinality.bit_length() ** 2
+    else:  # the squarings the order test takes at most (see above)
+        count, factors = ring.unit_group()
+        steps = sum(factors.values()) * count.bit_length()
     d = None
     if steps:
         s, pw = zero, one
@@ -395,8 +396,8 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     * ``matrix-order`` (finite rings): p = ord([[1, 1], [0, q]]) from the
       structure, whatever ``bound`` allows: on Z/n d comes from the factored
       Carmichael function; on Z/n[X]/(mu) from the factored order of the
-      unit group, unless a walk of at most log2(|R|)^2 steps meets q^d = 1
-      first;
+      unit group, unless a walk as long as the order test's squarings
+      meets q^d = 1 first;
     * ``period-walk``: d found by walking q^m up to ``bound``, then
       p = d * o; on a finite ring when n or |R^*| resists factoring, on
       every other ring with finite p;
@@ -458,14 +459,20 @@ def _nonunit_state_candidates(ring, qp):
     sits at a proper divisor of P, and only those are tried.  P comes from
     ``_order_and_char`` (on a quotient from the unit group's order, or a
     short walk), and the states at its divisors cost O(tau(P) log P) ring
-    operations, however large the orbit; UnsupportedError when n or |R^*|
-    resists factoring.  Non-unit q: (m)_q is never 0.  If q is nilpotent
-    the states are constant from the first m with q^m = 0 on; otherwise some
-    k sees q as a unit and so sees (m)_q = 0 for some m <= |k|.  Either way
-    the walk ends within |R| steps.
+    operations, however large the orbit.  When |R^*| resists factoring the
+    period is walked, up to |R|^2 steps; UnsupportedError when n does.
+    Non-unit q: (m)_q is never 0.  If q is nilpotent the states are constant
+    from the first m with q^m = 0 on; otherwise some k sees q as a unit and
+    so sees (m)_q = 0 for some m <= |k|.  Either way the walk ends within
+    |R| steps.
     """
     if ring._invert(qp) is not None:
-        _, p = _order_and_char(ring, qp, None)  # a finite ring takes no bound
+        try:
+            _, p = _order_and_char(ring, qp, None)  # a finite ring takes no bound
+        except UnsupportedError:
+            if type(ring) is ModularRing:  # n resists: the walk could not find o
+                raise
+            _, p = _order_and_char(ring, qp, ring.cardinality**2, walk=True)
         for m in ntheory.divisors(ntheory.factorize(p))[:-1]:
             yield m, _matrix_power(ring, qp, m)[0]
         return

@@ -185,8 +185,13 @@ class RingElement:
         if n < 0:
             base = self.inverse()
             n = -n
-        ring = self.ring
-        return RingElement(ring, _payload_power(ring._mul, ring._one(), base.payload, n))
+        acc = self.ring.one
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+        return acc
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -1125,9 +1130,10 @@ def _factor_degrees(fp, f):
     """
     p, x = fp.n, (0, 1)
 
-    def gcd(a, b):  # monic
-        g = dense_euclid(fp, a, b)[0]
-        return dense_scale(fp, g, g[-1])
+    def gcd(a, b):  # monic; no cofactors
+        while b:
+            a, b = b, zpoly.divrem(a, b, p)[1]
+        return dense_scale(fp, a, a[-1])
 
     degrees, h, i = [], x, 0  # h = X^(p^i) mod f
     while len(f) > 1:
@@ -1158,7 +1164,7 @@ class QuotientRing(Ring):
     are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
     with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Over
     Z/n the order of the unit group, from distinct-degree factorization of
-    mu mod each p | n (``_unit_group``), gives ``unit_order``.  Nothing
+    mu mod each p | n (``unit_group``), gives ``unit_order``.  Nothing
     enumerates the ring, but n must factor (``ModularRing.factors``), and
     for ``unit_order`` so must each p^k - 1.  Over
     Z (mu monic) a unit is an element whose inverse over Q has integer
@@ -1172,7 +1178,7 @@ class QuotientRing(Ring):
     cyclotomic_index = None
     _fold = None  # (m, chi_m) when products fold modulo t^m - 1
     _kernel = None  # (mu made monic, n) when products divide in zpoly.divrem; n = 0 over Z
-    _units = None  # (|R^*|, the primes dividing it), kept by unit_order
+    _units = None  # (|R^*|, its factorization), kept by unit_group
 
     def __init__(self, polyring, modulus):
         if not isinstance(polyring, PolynomialRing):
@@ -1278,12 +1284,13 @@ class QuotientRing(Ring):
 
     def unit_order(self, a):
         """Multiplicative order of the unit a, over a base Z/n, from the
-        factored order of the unit group (``_unit_group``)."""
-        count, primes = _memo(self, "_units", self._unit_group)
-        return ntheory.multiplicative_order(a, self, count, primes, _ring_power)
+        factored order of the unit group (``unit_group``)."""
+        count, factors = self.unit_group()
+        return ntheory.multiplicative_order(a, self, count, factors, _ring_power)
 
-    def _unit_group(self):
-        """(|R^*|, the primes dividing it) for R = Z/n[x]/(mu).
+    def unit_group(self):
+        """(|R^*|, its factorization {prime: exponent}) for R = Z/n[x]/(mu),
+        computed once per ring.
 
         R is the product of the R_p = Z/p^e[x]/(mu) over p^e || n, and a
         unit of R_p is an element whose image in Z/p[x]/(f) is a unit for
@@ -1293,16 +1300,21 @@ class QuotientRing(Ring):
         degrees come from ``_factor_degrees``; UnsupportedError when n or a
         p^(deg f) - 1 resists ``ntheory.factorize``.
         """
-        d, count, primes = len(self.modulus) - 1, 1, set()
-        for p, fp, mu_p, _ in self._residue_fields():
-            degrees = _factor_degrees(fp, dense_scale(fp, mu_p, mu_p[-1]))
-            e = self.base.factors()[p]
-            count *= p ** (e * d - sum(degrees)) * math.prod(p**k - 1 for k in degrees)
-            if e * d > sum(degrees):
-                primes.add(p)
-            for k in set(degrees):
-                primes.update(ntheory.factorize(p**k - 1))
-        return count, tuple(sorted(primes))
+
+        def compute():
+            d, count, factors = len(self.modulus) - 1, 1, {}
+            for p, fp, mu_p, _ in self._residue_fields():
+                degrees = _factor_degrees(fp, dense_scale(fp, mu_p, mu_p[-1]))
+                pieces = [(p, self.base.factors()[p] * d - sum(degrees))]
+                for k in set(degrees):
+                    c = degrees.count(k)
+                    pieces += [(r, c * e) for r, e in ntheory.factorize(p**k - 1).items()]
+                for prime, e in pieces:
+                    count *= prime**e
+                    factors[prime] = factors.get(prime, 0) + e
+            return count, {prime: e for prime, e in sorted(factors.items()) if e}
+
+        return _memo(self, "_units", compute)
 
     def _residue_fields(self):
         """(p, Z/p, mu mod p, CRT idempotent of p mod rad(n)) for each prime p | n."""

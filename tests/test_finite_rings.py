@@ -318,9 +318,9 @@ def test_unit_group_order_and_unit_orders_match_enumeration(n, mu):
     # against walking q^m, for every unit q
     ring, model = quotient(n, mu), Model(n, mu)
     units = model_units(n, mu)
-    count, primes = ring._unit_group()
+    count, factors = ring.unit_group()
     assert count == len(units), (n, mu)
-    assert primes == tuple(ntheory.factorize(count)), (n, mu)
+    assert factors == ntheory.factorize(count), (n, mu)
     for q in units:
         assert ring.unit_order(ring.normalize(q)) == plain_unit_order(model, q), (n, mu, q)
 
@@ -377,7 +377,7 @@ def test_cubic_over_a_large_prime_by_structure(capsys):
     assert plain_power(model, q, d) == model.one
     assert all(plain_power(model, q, d // ell) != model.one for ell in sympy.factorint(d))
     ring = quotient(n, mu)
-    assert ring._unit_group()[0] == n**3 - 1
+    assert ring.unit_group()[0] == n**3 - 1
     assert main(["qflat", "--ring", "Z/1000003[X]/(X^3+2)", "--q", "X"]) == 0
     assert capsys.readouterr().out == "flat=true divisible=true\n"
     assert main(["qchar", "--ring", "Z/1000003[X]/(X^3+2)", "--q", "X", "--bound", str(10**19), "--json"]) == 0
@@ -387,32 +387,39 @@ def test_cubic_over_a_large_prime_by_structure(capsys):
 
 
 def test_unit_group_that_resists_factoring_falls_back_to_the_walk(monkeypatch):
-    # ord(X) in Z/7[X]/(X^4 + X + 3) is above the log2(|R|)^2 = 144 steps
-    # walked first, so the order comes from |R^*| = (7 - 1)(7^3 - 1); when
-    # those pieces cannot be factored the characteristic walks the period
-    # instead, and flatness, which needs the whole period, raises
+    # |R^*| = (7 - 1)(7^3 - 1) = 2^2 3^3 19 for Z/7[X]/(X^4 + X + 3): the
+    # order test takes at most 6 powers of up to 12 squarings, so q^m is
+    # walked for 6 * 12 = 72 steps first; ord(X) is above that, so it comes
+    # from |R^*|.  When those pieces cannot
+    # be factored the characteristic and flatness walk the period instead,
+    # and answer as the enumeration does.
     n, mu = 7, (3, 1, 0, 0, 1)
     model, q = Model(n, mu), (0, 1, 0, 0)
     d = plain_unit_order(model, q)
     p = d if model.state(q, d) == model.zero else d * n
-    assert d > 144
+    expected = model.flatness(q, model.is_unit_by_rank)
     ring = quotient(n, mu)
+    assert ring.unit_group() == (2052, {2: 2, 3: 3, 19: 1}) and d > 72
     res = q_characteristic(QContext(ring, ring.generator), bound=10**4)
     assert (res.p, res.certified, res.rule) == (p, True, "matrix-order")
+    cert = certify_flatness(QContext(ring, ring.generator))
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected
 
     factorize = ntheory.factorize
 
-    def resist(m):
-        if m > n:
+    def resist(m):  # only the piece 7 - 1 of |R^*|
+        if m == n - 1:
             raise UnsupportedError(f"{m} resists")
         return factorize(m)
 
     monkeypatch.setattr(ntheory, "factorize", resist)
     ring = quotient(n, mu)
+    with pytest.raises(UnsupportedError):
+        ring.unit_group()
     res = q_characteristic(QContext(ring, ring.generator), bound=10**4)
     assert (res.p, res.certified, res.rule) == (p, True, "period-walk")
-    with pytest.raises(UnsupportedError):
-        certify_flatness(QContext(ring, ring.generator))
+    cert = certify_flatness(QContext(ring, ring.generator))
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected
 
 
 def _plain_quotient_qchar(model, q):
