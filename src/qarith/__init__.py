@@ -13,7 +13,6 @@ from .errors import (
     CompatibilityError,
     DenominatorNotCoveredError,
     DomainError,
-    EigenvectorError,
     InternalError,
     NotAdmissibleError,
     NotInvertibleError,
@@ -36,9 +35,7 @@ from .rings import (
     RationalFunctionField,
     Ring,
     RingElement,
-    enumerate_ring,
     is_zero_divisor,
-    try_invert,
 )
 from .qnum import (
     CyclotomicEmbedding,
@@ -76,17 +73,12 @@ from .qrational import (
 )
 from .twisted import (
     TwistedAlgebra,
-    TwistedBinomialReport,
     TwistedPowerBasis,
     affine_orbit,
-    artin_schreier_check,
     assemble_from_twisted_basis,
     expand_in_twisted_basis,
     reduce_mod_twisted_ideal,
-    twisted_binomial_check,
     twisted_power,
-    twisted_power_compose,
-    twisted_power_sign_check,
 )
 
 __version__ = "0.1.0"

@@ -66,8 +66,6 @@ from .twisted import (
     TwistedPowerBasis,
     expand_in_twisted_basis,
     twisted_power,
-    twisted_power_compose,
-    twisted_binomial_check,
     affine_orbit,
     _affine_data,
 )
@@ -370,15 +368,23 @@ class VerificationReport:
         }
 
 
-# Largest quantum characteristic p for which verify runs qbin_vanish, lucas
-# and frobenius, checked before their work, which grows as p^2: p Pascal
-# rows, p^2 q-binomials per (n, k), a twisted power of degree p.  Measured
-# in whole `python -m qarith` runs (CPython 3.11, shared 2-vCPU x86-64): at
+# Largest quantum characteristic p for which verify runs divp, qbin_vanish,
+# lucas, frobenius and sign_rule, checked before their work, which grows
+# with p: a zero-set scan of 5p + 1 states, p Pascal rows, p^2 q-binomials
+# per (n, k), twisted powers of degree p.  Measured in whole
+# `python -m qarith` runs (CPython 3.11, shared 2-vCPU x86-64): at
 # p = 256 on Z/257, qbin_vanish took 0.25 s and 21 MB, lucas at its default
 # ranges 4.2 s and frobenius 0.4 s (3.6 s on Cyclo(251), p = 251); at
 # p = 1008 on Z/1009, lucas with --n-max 1 --k-max 1 took 15 s, and
 # qbin_vanish used 312 MB near p = 4000.
 VERIFY_MAX_P = 256
+
+
+def _capped(p):
+    """p, once the hypotheses that give it hold; refused above VERIFY_MAX_P."""
+    if p > VERIFY_MAX_P:
+        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
+    return p
 
 
 class HypothesesUnmet(Exception):
@@ -508,7 +514,7 @@ def _iv_addmul(env, rec):
 
 def _iv_divp(env, rec):
     ctx = env.require_q()
-    p = env.finite_char()
+    p = _capped(env.finite_char())
     m_max = env.ranges["m_max"]
     for m in env.pick(range(-m_max if ctx.q_inverse is not None else 0, m_max + 1)):
         rec.check({"law": "periodic", "m": m, "p": p}, q_state(ctx, m), q_state(ctx, m % p))
@@ -526,7 +532,7 @@ def _iv_even(env, rec):
     p = env.flat_char()
     if p % 2 == 0:
         k = p // 2
-        rec.check({"p": p, "k": k}, env.ctx.q_power(k), -env.ring.one)
+        rec.check({"p": p, "k": k}, env.ctx.q**k, -env.ring.one)
 
 
 def _iv_prim(env, rec):
@@ -538,9 +544,7 @@ def _iv_prim(env, rec):
 
 def _iv_qbin_vanish(env, rec):
     ctx = env.require_q()
-    p = env.flat_char()
-    if p > VERIFY_MAX_P:
-        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
+    p = _capped(env.flat_char())
     for k in range(p + 1):
         expected = env.ring.one if k in (0, p) else env.ring.zero
         rec.check({"p": p, "k": k}, q_binomial(ctx, p, k), expected)
@@ -582,9 +586,7 @@ def _iv_chu_vandermonde(env, rec):
 
 def _iv_lucas(env, rec):
     ctx = env.require_q()
-    p = env.flat_char()
-    if p > VERIFY_MAX_P:
-        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
+    p = _capped(env.flat_char())
     n_max, k_max = env.ranges["n_max"], env.ranges["k_max"]
     for n in range(n_max + 1):
         for k in range(k_max + 1):
@@ -742,22 +744,29 @@ def _iv_mov(env, rec):
         for m in range(nm_max + 1):
             if n * m > nm_max:
                 continue
-            lhs, mid, rhs = twisted_power_compose(alg, x, n, m)
+            # (x^(n) under sigma^m)^(m) under sigma, and (x^(n))^(m) under sigma^n, are x^(nm)
+            lhs = twisted_power(alg, twisted_power(alg, x, n, m), m, 1)
+            mid = twisted_power(alg, twisted_power(alg, x, n, 1), m, n)
+            rhs = twisted_power(alg, x, n * m, 1)
             rec.check({"n": n, "m": m, "side": "outer-sigma"}, lhs, rhs)
             rec.check({"n": n, "m": m, "side": "outer-sigma^n"}, mid, rhs)
 
 
 def _iv_twisted_binomial(env, rec):
-    alg = TwistedAlgebra.diagonal(env.ring, {"x": env.require_q().q, "y": 1})
+    # sigma(x) = q*x, sigma(y) = y: (x + y)^(n) = sum_k [n, k]_q x^(k) y^(n-k)
+    ctx = env.require_q()
+    alg = TwistedAlgebra.diagonal(env.ring, {"x": ctx.q, "y": 1})
+    x, y = alg.gen("x"), alg.gen("y")
     for n in env.pick(range(env.ranges["n_max"] + 1)):
-        report = twisted_binomial_check(alg, alg.gen("x"), alg.gen("y"), n)
-        rec.check({"n": n}, report.lhs, report.rhs)
+        lhs = twisted_power(alg, x + y, n)
+        rhs = alg.zero
+        for k in range(n + 1):
+            rhs = rhs + alg.scalar(q_binomial(ctx, n, k)) * twisted_power(alg, x, k) * twisted_power(alg, y, n - k)
+        rec.check({"n": n}, lhs, rhs)
 
 
 def _iv_frobenius(env, rec):
-    p = env.flat_char()
-    if p > VERIFY_MAX_P:
-        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
+    p = _capped(env.flat_char())
     alg = TwistedAlgebra.diagonal(env.ring, {"x": env.ctx.q, "y": 1})
     x, y = alg.gen("x"), alg.gen("y")
     rec.check(
@@ -791,15 +800,15 @@ def _iv_artin_schreier(env, rec):
 def _iv_sign_rule(env, rec):
     ctx = env.require_q()
     p = env.finite_char()
+    if p % 2 == 0 and not env.flat_certificate().flat:
+        raise HypothesesUnmet("even case of the sign rule needs q-flatness")
+    _capped(p)
     alg = TwistedAlgebra.diagonal(env.ring, {"x": ctx.q})
     x = alg.gen("x")
     value = twisted_power(alg, x, p)
     if p % 2 == 1:
         rec.check({"p": p, "parity": "odd"}, value, x**p)
     else:
-        cert = env.flat_certificate()
-        if not cert.flat:
-            raise HypothesesUnmet("even case of the sign rule needs q-flatness")
         rec.check({"p": p, "parity": "even"}, value, -(x**p))
 
 

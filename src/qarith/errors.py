@@ -51,13 +51,5 @@ class DenominatorNotCoveredError(QArithError):
     """The rational argument's denominator lies outside the covered set."""
 
 
-class EigenvectorError(QArithError):
-    """A generator fails the required eigenvector condition for sigma."""
-
-    def __init__(self, generator, message=None):
-        self.generator = generator
-        super().__init__(message or f"generator {generator!r} is not a sigma-eigenvector of the required form")
-
-
 class BasisUnavailableError(QArithError):
     """The twisted-power family is not a basis (leading structure not a unit)."""

@@ -335,9 +335,6 @@ class Ring:
     def random_element(self, rng):
         raise NotImplementedError
 
-    def is_unit(self, a):
-        return self._invert(a.payload if isinstance(a, RingElement) else a) is not None
-
     def root_of_unity_order_bound(self):
         """Upper bound for orders of roots of unity in this ring, or None."""
         return None
@@ -1410,18 +1407,6 @@ ZI = QuotientRing(PolynomialRing(ZZ, "i"), cyclotomic_poly(4))
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def try_invert(x):
-    """Inverse of x, or None when x is not a unit (a value, not an error)."""
-    return x.try_invert()
-
-
-def enumerate_ring(ring):
-    """Stream every element of a finite ring exactly once, starting 0, 1."""
-    if not ring.finite:
-        raise UnsupportedError(f"{ring} is infinite, enumeration unsupported")
-    return ring.elements()
 
 
 def is_zero_divisor(x):

@@ -39,20 +39,17 @@ operations on the dense coefficient tuple.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Optional
 
-from . import ntheory, zpoly
+from . import zpoly
 from .cyclotomic import product_tree
 from .errors import (
     BasisUnavailableError,
     DomainError,
-    EigenvectorError,
     InternalError,
     RingMismatchError,
     UnsupportedError,
 )
-from .qnum import QContext, _matrix_power, q_binomial, q_state
+from .qnum import QContext, _matrix_power, q_state
 from .rings import (
     IntegerRing, Ring, RingElement, _fmt_terms, _power, _signed_coeff, as_int, dense_mul, dense_strip,
     sparse_add, sparse_mul, sparse_neg, sparse_normalize,
@@ -455,92 +452,6 @@ def affine_orbit(alg: TwistedAlgebra, n: int) -> RingElement:
         if closed != alg.sigma_iter(x, n):
             raise InternalError("affine orbit closed form disagrees with iteration")
     return closed
-
-
-def twisted_power_compose(alg: TwistedAlgebra, f: RingElement, n: int, m: int):
-    """Both composites (f^(n)_{sigma^m})^(m)_sigma and (f^(n)_sigma)^(m)_{sigma^n},
-    plus f^(mn)_sigma, for equality assertions."""
-    lhs = twisted_power(alg, twisted_power(alg, f, n, m), m, 1)
-    mid = twisted_power(alg, twisted_power(alg, f, n, 1), m, n)
-    rhs = twisted_power(alg, f, n * m, 1)
-    return lhs, mid, rhs
-
-
-@dataclass(frozen=True)
-class TwistedBinomialReport:
-    equal: bool
-    lhs: RingElement
-    rhs: RingElement
-    mismatch: Optional[tuple] = None  # (exponent vector, lhs coeff, rhs coeff)
-
-
-def twisted_binomial_check(alg: TwistedAlgebra, x: RingElement, y: RingElement, n: int) -> TwistedBinomialReport:
-    """Check (x+y)^(n) = sum_k C(n,k)_q x^(k) y^(n-k) for sigma(x)=q*x, sigma(y)=y.
-
-    x and y must be generators; the eigenvector conditions are verified by
-    substitution before anything is expanded.
-    """
-    names = {alg.gen(g).payload: g for g in alg.gens}
-    for elt in (x, y):
-        if elt.payload not in names:
-            raise EigenvectorError(str(elt), "arguments must be algebra generators")
-    xname, yname = names[x.payload], names[y.payload]
-    img_x = alg.sigma(x)
-    q = None
-    if len(img_x.payload) == 1 and img_x.payload[0][0] == x.payload[0][0]:
-        q = RingElement(alg.base, img_x.payload[0][1])
-    if q is None:
-        raise EigenvectorError(xname, f"sigma({xname}) is not a base multiple of {xname}")
-    if alg.sigma(y) != y:
-        raise EigenvectorError(yname, f"sigma({yname}) != {yname}")
-    lhs = twisted_power(alg, x + y, n)
-    ctx = QContext(alg.base, q)
-    rhs = alg.zero
-    for k in range(n + 1):
-        rhs = rhs + (
-            alg.scalar(q_binomial(ctx, n, k))
-            * twisted_power(alg, x, k)
-            * twisted_power(alg, y, n - k)
-        )
-    if lhs == rhs:
-        return TwistedBinomialReport(True, lhs, rhs)
-    exps = (lhs - rhs).payload[0][0]  # the least exponent where they differ
-    lcoeff = dict(lhs.payload).get(exps, alg.base._zero())
-    rcoeff = dict(rhs.payload).get(exps, alg.base._zero())
-    return TwistedBinomialReport(
-        False, lhs, rhs,
-        (exps, RingElement(alg.base, lcoeff), RingElement(alg.base, rcoeff)),
-    )
-
-
-def twisted_power_sign_check(alg: TwistedAlgebra, p: int) -> RingElement:
-    """x^(p) for sigma(x) = q*x when q-char(base) = p; compare with +-x^p."""
-    q, h = _affine_data(alg)
-    if not h.is_zero():
-        raise DomainError("sign rule needs sigma(x) = q*x")
-    ctx = QContext(alg.base, q)
-    if not q_state(ctx, p).is_zero() or any(q_state(ctx, m).is_zero() for m in range(1, p)):
-        raise DomainError(f"base does not have quantum characteristic {p}")
-    return twisted_power(alg, alg.gen(alg.gens[0]), p)
-
-
-def artin_schreier_check(base, h) -> RingElement:
-    """x^(p) for sigma(x) = x + h over a base of prime characteristic p.
-
-    Asserts the closed form x^p - h^(p-1)*x before returning the product.
-    """
-    if isinstance(h, int):
-        h = base.from_int(h)
-    p = base.characteristic
-    if not ntheory.is_prime(p):
-        raise UnsupportedError("Artin-Schreier check needs prime characteristic")
-    alg = TwistedAlgebra.univariate_affine(base, base.one, h)
-    x = alg.gen("x")
-    value = twisted_power(alg, x, p)
-    expected = x**p - alg.scalar(h ** (p - 1)) * x
-    if value != expected:
-        raise InternalError("Artin-Schreier closed form failed")
-    return value
 
 
 class TwistedPowerBasis:

@@ -32,11 +32,9 @@ from qarith import (
     q_state,
     q_state_rational,
     rational_power,
+    run_identity,
     standard_root_system,
     twisted_power,
-    twisted_power_compose,
-    twisted_power_sign_check,
-    artin_schreier_check,
     build_root_system,
     expand_in_twisted_basis,
     TwistedAlgebra,
@@ -256,12 +254,9 @@ def test_criterion_08_twisted_suite():
             for n in range(6):
                 assert alg.sigma_iter(twisted_power(alg, f, n), k) == twisted_power(alg, alg.sigma_iter(f, k), n)
     x = alg.gen("x")
-    for n in range(13):
-        for m in range(13):
-            if n * m > 12:
-                continue
-            lhs, mid, rhs = twisted_power_compose(alg, x, n, m)
-            assert lhs == rhs == mid
+    # the composition law for every n, m with n*m <= 12, sigma(x) = q*x + 1
+    mov = run_identity("mov", zq, qgen, ranges={"nm_max": 12})
+    assert mov.cases == 120 and mov.failures == []
 
     # affine orbits, both signs
     ctx = QContext(zq, qgen)
@@ -295,15 +290,13 @@ def test_criterion_08_twisted_suite():
         assert twisted_power(frob, fx + fy, p) == twisted_power(frob, fx, p) + twisted_power(frob, fy, p)
 
     for base in (ModularRing(2), ModularRing(3)):
-        for h in range(base.cardinality):
-            artin_schreier_check(base, h)
+        artin = run_identity("artin_schreier", base, None)
+        assert artin.cases == base.cardinality and artin.failures == []
 
     for p in range(2, 8):
         ring = CyclotomicRing(p)
-        dil = TwistedAlgebra.diagonal(ring, {"x": ring.generator})
-        value = twisted_power_sign_check(dil, p)
-        expected = dil.gen("x") ** p
-        assert value == (expected if p % 2 else -expected)
+        sign = run_identity("sign_rule", ring, ring.generator)
+        assert sign.cases == 1 and sign.failures == [], p
 
     table = stirling2_table(8)
     basis = TwistedPowerBasis(TwistedAlgebra.univariate_affine(parse_ring("Q"), 1, -1))

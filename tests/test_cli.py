@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import DomainError, ParseError, parse_element, parse_ring
+from qarith import DomainError, ParseError, QContext, parse_element, parse_ring
 from qarith import cli
 from qarith.cli import CaseFailure, VerificationReport, main, run_identity
 from qarith.twisted import TwistedAlgebra
@@ -363,18 +363,33 @@ def test_verify_gate_is_flat_with_finite_characteristic(capsys, identity, ring, 
     assert captured.err == f"hypotheses unmet: {message}\n"
 
 
-@pytest.mark.parametrize("identity", ["qbin_vanish", "lucas", "frobenius"])
+@pytest.mark.parametrize("identity", ["divp", "qbin_vanish", "lucas", "frobenius", "sign_rule"])
 def test_verify_refuses_a_quantum_characteristic_above_the_cap(capsys, monkeypatch, identity):
     def refuse(*args):
-        raise AssertionError("started work that grows with p^2")
+        raise AssertionError("started work that grows with p")
 
     monkeypatch.setattr(cli, "q_binomial", refuse)
+    monkeypatch.setattr(cli, "q_state", refuse)
     monkeypatch.setattr(cli, "twisted_power", refuse)
     # ord(3) in Z/1000003 is 333334, and (333334)_3 = 0
     assert main(["verify", identity, "--ring", "Z/1000003", "--q", "3"]) == 3
     err = capsys.readouterr().err
     assert f"p = 333334 is above the cap VERIFY_MAX_P = {cli.VERIFY_MAX_P}" in err
     assert "Traceback" not in err
+
+
+def test_verify_even_squares_at_a_large_quantum_characteristic(capsys, monkeypatch):
+    cached_power = QContext.q_power
+
+    def small_power(ctx, k):
+        if abs(k) > cli.VERIFY_MAX_P:
+            raise AssertionError(f"filled the power cache up to q^{k}")
+        return cached_power(ctx, k)
+
+    monkeypatch.setattr(QContext, "q_power", small_power)
+    # 5 is a primitive root of Z/1000000007, so p = 1000000006 and q^(p/2) = -1
+    code, out = run_cli(capsys, ["verify", "even", "--ring", "Z/1000000007", "--q", "5", "--bound", "10000000000"])
+    assert code == 0 and "cases=1 failures=0" in out
 
 
 def test_verify_at_the_cap_runs(capsys):

@@ -15,7 +15,6 @@ from qarith import (
     BasisUnavailableError,
     CyclotomicRing,
     DomainError,
-    EigenvectorError,
     ModularRing,
     PolynomialRing,
     QContext,
@@ -24,19 +23,17 @@ from qarith import (
     RingMismatchError,
     TwistedAlgebra,
     TwistedPowerBasis,
-    UnsupportedError,
     affine_orbit,
-    artin_schreier_check,
     assemble_from_twisted_basis,
     expand_in_twisted_basis,
+    q_characteristic,
     q_state,
     reduce_mod_twisted_ideal,
-    twisted_binomial_check,
+    run_identity,
     twisted_power,
-    twisted_power_compose,
-    twisted_power_sign_check,
 )
-from qarith import twisted
+from qarith import cli, twisted
+from qarith.cli import HypothesesUnmet
 from helpers import stirling2_table
 
 
@@ -117,16 +114,13 @@ def test_sigit_laws():
 
 
 def test_compose_law():
+    # every n, m with n*m <= 12, both composites against x^(nm)
+    report = run_identity("mov", QQ, None, sigma_text="x-1")
+    assert report.cases == 120 and report.failures == []
     alg = falling()
     x = alg.gen("x")
-    for n in range(5):
-        for m in range(5):
-            if n * m > 12:
-                continue
-            lhs, mid, rhs = twisted_power_compose(alg, x, n, m)
-            assert lhs == rhs == mid
-    lhs, mid, rhs = twisted_power_compose(alg, x, 2, 2)
-    assert rhs == x * (x - 1) * (x - 2) * (x - 3)
+    assert twisted_power(alg, twisted_power(alg, x, 2, 2), 2) == x * (x - 1) * (x - 2) * (x - 3)
+    assert twisted_power(alg, twisted_power(alg, x, 2), 2, 2) == x * (x - 1) * (x - 2) * (x - 3)
 
 
 def test_affine_orbit():
@@ -158,41 +152,28 @@ def test_twisted_binomial_small():
     alg = TwistedAlgebra(zq, ("x", "y"))
     alg.set_sigma({"x": alg.scalar(q) * alg.gen("x")})
     x, y = alg.gen("x"), alg.gen("y")
-    report = twisted_binomial_check(alg, x, y, 2)
-    assert report.equal
-    assert report.lhs == (x + y) * (alg.scalar(q) * x + y)
-    for n in range(7):
-        assert twisted_binomial_check(alg, x, y, n).equal
+    assert twisted_power(alg, x + y, 2) == (x + y) * (alg.scalar(q) * x + y)
+    report = run_identity("twisted_binomial", zq, q, ranges={"n_max": 6})
+    assert report.cases == 7 and report.failures == []
+    # q = 0 is a base multiple too: sigma(x) = 0*x, so x^(k) = 0 for k >= 2
+    report = run_identity("twisted_binomial", ZZ, ZZ.zero)
+    assert report.cases == 9 and report.failures == []
 
 
-def test_twisted_binomial_mismatch_names_least_exponent(monkeypatch):
-    import qarith.twisted as tw
-
+def test_twisted_binomial_records_a_wrong_q_binomial(monkeypatch):
     zq = PolynomialRing(ZZ, "q")
-    alg = TwistedAlgebra(zq, ("x", "y"))
-    alg.set_sigma({"x": alg.scalar(zq.generator) * alg.gen("x")})
+    q = zq.generator
+    alg = TwistedAlgebra.diagonal(zq, {"x": q, "y": 1})
     x, y = alg.gen("x"), alg.gen("y")
-    true_binomial = tw.q_binomial
-    # a wrong [2, k]_q for k = 0 and k = 2 puts differences at y^2 and x^2
-    monkeypatch.setattr(tw, "q_binomial", lambda ctx, n, k: true_binomial(ctx, n, k) + (k != 1))
-    report = twisted_binomial_check(alg, x, y, 2)
-    assert not report.equal
-    exps, lhs, rhs = report.mismatch
-    assert exps == (0, 2)
-    assert (lhs, rhs) == (zq.one, zq.from_int(2))
-
-
-def test_twisted_binomial_eigenvector_errors():
-    zq = PolynomialRing(ZZ, "q")
-    alg = TwistedAlgebra(zq, ("x", "y"))
-    alg.set_sigma({"x": alg.gen("x") + alg.one})
-    with pytest.raises(EigenvectorError) as info:
-        twisted_binomial_check(alg, alg.gen("x"), alg.gen("y"), 2)
-    assert info.value.generator == "x"
-    alg2 = TwistedAlgebra(zq, ("x", "y"))
-    alg2.set_sigma({"x": alg2.scalar(zq.generator) * alg2.gen("x"), "y": alg2.gen("y") + alg2.one})
-    with pytest.raises(EigenvectorError):
-        twisted_binomial_check(alg2, alg2.gen("x"), alg2.gen("y"), 2)
+    true_binomial = cli.q_binomial
+    # a wrong [2, k]_q for k = 0 and k = 2 adds x^(2) + y^(2) = q*x^2 + y^2 to the sum at n = 2 only
+    monkeypatch.setattr(cli, "q_binomial", lambda ctx, n, k: true_binomial(ctx, n, k) + (n == 2 and k != 1))
+    report = run_identity("twisted_binomial", zq, q, ranges={"n_max": 4})
+    assert report.cases == 5
+    assert [f.inputs for f in report.failures] == [{"n": 2}]
+    lhs = (x + y) * (alg.scalar(q) * x + y)
+    assert report.failures[0].lhs == str(lhs)
+    assert report.failures[0].rhs == str(lhs + alg.scalar(q) * x**2 + y**2)
 
 
 def test_frobenius_over_cyclotomic_quotients():
@@ -205,30 +186,28 @@ def test_frobenius_over_cyclotomic_quotients():
 
 
 def test_sign_rule():
+    # x^(p) = x^p for odd p and -x^p for even p, on Cyclo(p) with q = t of quantum characteristic p
     for p in range(2, 8):
         ring = CyclotomicRing(p)
-        alg = dilation(ring, ring.generator)
-        x = alg.gen("x")
-        value = twisted_power_sign_check(alg, p)
-        expected = x**p if p % 2 else -(x**p)
-        assert value == expected
+        assert q_characteristic(QContext(ring, ring.generator)).p == p
+        report = run_identity("sign_rule", ring, ring.generator)
+        assert report.cases == 1 and report.failures == [], p
 
 
 def test_artin_schreier():
     z2, z3 = ModularRing(2), ModularRing(3)
-    v = artin_schreier_check(z2, 1)
-    alg = v.ring
-    x = alg.gen("x")
-    assert v == x * (x + 1)
-    v3 = artin_schreier_check(z3, 1)
-    x3 = v3.ring.gen("x")
-    assert v3 == x3**3 - x3
-    v0 = artin_schreier_check(z3, 0)  # sigma = id: an algebra of its own
-    assert v0 == v0.ring.gen("x") ** 3
-    for h in range(3):
-        artin_schreier_check(z3, h)
-    with pytest.raises(UnsupportedError):
-        artin_schreier_check(ModularRing(4), 1)
+    x = TwistedAlgebra.univariate_affine(z2, 1, 1).gen("x")
+    assert twisted_power(x.ring, x, 2) == x * (x + 1)
+    x3 = TwistedAlgebra.univariate_affine(z3, 1, 1).gen("x")
+    assert twisted_power(x3.ring, x3, 3) == x3**3 - x3
+    x0 = TwistedAlgebra.univariate_affine(z3, 1, 0).gen("x")  # sigma = id
+    assert twisted_power(x0.ring, x0, 3) == x0**3
+    # x^(p) = x^p - h^(p-1)*x for every h
+    for base in (z2, z3):
+        report = run_identity("artin_schreier", base, None)
+        assert report.cases == base.cardinality and report.failures == []
+    with pytest.raises(HypothesesUnmet):
+        run_identity("artin_schreier", ModularRing(4), None)
 
 
 def test_basis_expansion_constant():
@@ -525,7 +504,7 @@ def _twisted_case(kind):
         return QQ, qs, _rationals(QQ), _rationals(QQ)
     if kind in ("Z/12", "Z/7"):
         ring = ModularRing(int(kind[2:]))
-        units = [ring.from_int(u) for u in range(ring.n) if ring.is_unit(ring.from_int(u))]
+        units = [ring.from_int(u) for u in range(ring.n) if ring.from_int(u).try_invert() is not None]
         residues = st.integers(0, ring.n - 1).map(ring.from_int)
         return ring, st.sampled_from(units), residues, residues
     if kind == "Z":
