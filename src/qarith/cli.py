@@ -380,10 +380,10 @@ class VerificationReport:
 VERIFY_MAX_P = 256
 
 
-def _capped(p):
+def _capped(p, kind="quantum characteristic"):
     """p, once the hypotheses that give it hold; refused above VERIFY_MAX_P."""
     if p > VERIFY_MAX_P:
-        raise UnsupportedError(f"quantum characteristic p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
+        raise UnsupportedError(f"{kind} p = {p} is above the cap VERIFY_MAX_P = {VERIFY_MAX_P}")
     return p
 
 
@@ -446,12 +446,14 @@ class _Env:
         return p
 
     def affine_algebra(self):
-        """Univariate algebra R[x] with sigma from --sigma, or q*x + h."""
-        if self.sigma_text is not None:
-            return _sigma_algebra(self.ring, self.sigma_text)
-        scale = self.require_q().q
-        shift = parse_element(self.ring, self.h_text) if self.h_text else self.ring.one
-        return TwistedAlgebra.univariate_affine(self.ring, scale, shift)
+        """Univariate R[x] with sigma from --sigma, refused if it disagrees with q, or q*x + h."""
+        if self.sigma_text is None:
+            shift = parse_element(self.ring, self.h_text) if self.h_text else self.ring.one
+            return TwistedAlgebra.univariate_affine(self.ring, self.require_q().q, shift)
+        alg = _sigma_algebra(self.ring, self.sigma_text)
+        if self.q is not None and (q := _affine_data(alg)[0]) != self.q:
+            raise DomainError(f"sigma gives q = {q}, which disagrees with q = {self.q}")
+        return alg
 
 
 def _pascal_oracle(ctx):
@@ -651,11 +653,18 @@ def _iv_cyclo_binom(env, rec):
                 rec.ensure({"n": n, "k": k, "m": m}, gap in (0, 1), "floor dichotomy")
 
 
+def _carrier_system(ring, q):
+    """The standard root system of the carrier Q(t^(1/L)), whose q is t: any other q is refused."""
+    if q is not None and q != ring.generator:
+        raise DomainError(f"rational states in {ring} are taken at q = {ring.generator}, not q = {q}")
+    return standard_root_system(cyc.divisors(ring.denominator))
+
+
 def _iv_rational_state(env, rec):
     if not isinstance(env.ring, RationalFunctionField):
         raise HypothesesUnmet("rational states need a Q(t) or Q(t^(1/L)) carrier ring")
     L = env.ring.denominator
-    sys_ = standard_root_system(cyc.divisors(L))
+    sys_ = _carrier_system(env.ring, env.q)
     if not sys_.admissible:
         raise HypothesesUnmet("root system is not admissible")
     ctx = sys_.ctx
@@ -693,8 +702,6 @@ def _iv_rational_state(env, rec):
 def _iv_sigmaen(env, rec):
     alg = env.affine_algebra()
     q, h = _affine_data(alg)
-    if env.q is not None and env.q != q:
-        raise DomainError(f"sigma gives q = {q}, which disagrees with q = {env.q}")
     ctx = QContext(env.ring, q)
     x = alg.gen(alg.gens[0])
     n_max = env.ranges["n_max"]
@@ -781,6 +788,7 @@ def _iv_artin_schreier(env, rec):
     p = ring.characteristic
     if not is_prime(p):
         raise HypothesesUnmet("ring must have prime characteristic")
+    _capped(p, "characteristic")
     if env.h_text is not None:
         hs = [parse_element(ring, env.h_text)]
     elif ring.finite and ring.cardinality <= 64:
@@ -812,53 +820,52 @@ def _iv_sign_rule(env, rec):
         rec.check({"p": p, "parity": "even"}, value, -(x**p))
 
 
+# Each identity with every option its case loop reads: its ranges with their
+# defaults, then bound (gated on the quantum characteristic), sample and seed
+# (env.pick, env.rng), sigma and h (env.affine_algebra).  run_identity
+# refuses any other option.
 IDENTITIES = {
-    "pascal": (_iv_pascal, {"n_max": 12}),
-    "explicit": (_iv_explicit, {"m_max": 20}),
-    "addmul": (_iv_addmul, {"m_max": 12}),
-    "divp": (_iv_divp, {"m_max": 20}),
-    "even": (_iv_even, {}),
-    "prim": (_iv_prim, {}),
-    "qbin_vanish": (_iv_qbin_vanish, {}),
-    "symmetry": (_iv_symmetry, {"n_max": 20}),
-    "transitivity": (_iv_transitivity, {"n_max": 12}),
-    "chu_vandermonde": (_iv_chu_vandermonde, {"nm_max": 16}),
-    "lucas": (_iv_lucas, {"n_max": 3, "k_max": 3}),
-    "binomial_formula": (_iv_binomial_formula, {"n_max": 6}),
-    "cyclo_int": (_iv_cyclo_int, {"n_max": 60}),
-    "cyclo_fact": (_iv_cyclo_fact, {"n_max": 30}),
-    "cyclo_binom": (_iv_cyclo_binom, {"n_max": 24}),
-    "rational_state": (_iv_rational_state, {"r_max": 3}),
-    "sigmaen": (_iv_sigmaen, {"n_max": 12}),
-    "sigit": (_iv_sigit, {"trials": 5}),
-    "mov": (_iv_mov, {"nm_max": 12}),
-    "twisted_binomial": (_iv_twisted_binomial, {"n_max": 8}),
-    "frobenius": (_iv_frobenius, {}),
-    "artin_schreier": (_iv_artin_schreier, {}),
-    "sign_rule": (_iv_sign_rule, {}),
+    "pascal": (_iv_pascal, {"n_max": 12}, ("sample", "seed")),
+    "explicit": (_iv_explicit, {"m_max": 20}, ("sample", "seed")),
+    "addmul": (_iv_addmul, {"m_max": 12}, ("sample", "seed")),
+    "divp": (_iv_divp, {"m_max": 20}, ("sample", "seed", "bound")),
+    "even": (_iv_even, {}, ("bound",)),
+    "prim": (_iv_prim, {}, ("bound",)),
+    "qbin_vanish": (_iv_qbin_vanish, {}, ("bound",)),
+    "symmetry": (_iv_symmetry, {"n_max": 20}, ("sample", "seed")),
+    "transitivity": (_iv_transitivity, {"n_max": 12}, ("sample", "seed")),
+    "chu_vandermonde": (_iv_chu_vandermonde, {"nm_max": 16}, ("sample", "seed")),
+    "lucas": (_iv_lucas, {"n_max": 3, "k_max": 3}, ("bound",)),
+    "binomial_formula": (_iv_binomial_formula, {"n_max": 6}, ("sample", "seed")),
+    "cyclo_int": (_iv_cyclo_int, {"n_max": 60}, ("sample", "seed")),
+    "cyclo_fact": (_iv_cyclo_fact, {"n_max": 30}, ("sample", "seed")),
+    "cyclo_binom": (_iv_cyclo_binom, {"n_max": 24}, ("sample", "seed")),
+    "rational_state": (_iv_rational_state, {"r_max": 3}, ("sample", "seed")),
+    "sigmaen": (_iv_sigmaen, {"n_max": 12}, ("sample", "seed", "sigma", "h")),
+    "sigit": (_iv_sigit, {"trials": 5}, ("seed", "sigma", "h")),
+    "mov": (_iv_mov, {"nm_max": 12}, ("sigma", "h")),
+    "twisted_binomial": (_iv_twisted_binomial, {"n_max": 8}, ("sample", "seed")),
+    "frobenius": (_iv_frobenius, {}, ("bound",)),
+    "artin_schreier": (_iv_artin_schreier, {}, ("h",)),
+    "sign_rule": (_iv_sign_rule, {}, ("bound",)),
 }
-# the identities that read --sigma and --h; giving either to any other is an error
-_READS_SIGMA = frozenset({"sigmaen", "sigit", "mov"})
-_READS_H = _READS_SIGMA | {"artin_schreier"}
 
 
-def run_identity(name, ring, q, ranges=None, sample=None, seed=0, sigma_text=None, h_text=None) -> VerificationReport:
-    """Run one cataloged identity exhaustively over its ranges."""
+def run_identity(name, ring, q, ranges=None, sample=None, seed=None, sigma_text=None, h_text=None) -> VerificationReport:
+    """Run one cataloged identity over its ranges; any option it does not read is refused."""
     if name not in IDENTITIES:
         raise DomainError(f"unknown identity {name!r}")
+    fn, defaults, reads = IDENTITIES[name]
+    given = {k: v for k, v in (ranges or {}).items() if v is not None}
+    for option, value in {**given, "sample": sample, "seed": seed, "sigma": sigma_text, "h": h_text}.items():
+        if value is not None and option not in defaults and option not in reads:
+            raise DomainError(f"identity {name} does not read --{option.replace('_', '-')}")
     if sample is not None and sample < 0:
         raise DomainError(f"sample must be non-negative, got {sample}")
     if sigma_text is not None and h_text is not None:
         raise DomainError("--sigma fixes q and h, so --h cannot be given with it")
-    if sigma_text is not None and name not in _READS_SIGMA:
-        raise DomainError(f"identity {name} does not read --sigma")
-    if h_text is not None and name not in _READS_H:
-        raise DomainError(f"identity {name} does not read --h")
-    fn, defaults = IDENTITIES[name]
-    merged = dict(defaults)
-    if ranges:
-        merged.update({k: v for k, v in ranges.items() if v is not None})
-    env = _Env(ring, q, merged, sample=sample, seed=seed, sigma_text=sigma_text, h_text=h_text)
+    merged = {**defaults, **given}
+    env = _Env(ring, q, merged, sample=sample, seed=seed or 0, sigma_text=sigma_text, h_text=h_text)
     report = VerificationReport(name, str(ring), _str(q), merged)
     start = time.perf_counter()
     fn(env, report)
@@ -931,7 +938,7 @@ def _qrat(args, ring, q):
         r = Fraction(args.r)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"expected a rational like 2/3 or -1/2, got {args.r!r}") from exc
-    return _value(q_state_rational(standard_root_system(cyc.divisors(ring.denominator)), r))
+    return _value(q_state_rational(_carrier_system(ring, q), r))
 
 
 def _qchar(args, ring, q):
@@ -959,7 +966,9 @@ def _expand(args, ring, q):
     return {"result": {str(i): str(c) for i, c in coeffs}}, "\n".join(f"{i}: {c}" for i, c in coeffs), 0
 
 
-_RANGES = ("n_max", "k_max", "m_max", "nm_max", "r_max", "trials", "bound")
+# every range some identity declares, and bound; the identities that read --sigma, --h
+_RANGES = (*dict.fromkeys(k for _, defaults, _ in IDENTITIES.values() for k in defaults), "bound")
+_READERS = {o: "/".join(k for k, (_, _, reads) in IDENTITIES.items() if o in reads) for o in ("sigma", "h")}
 
 
 def _verify(args, ring, q):
@@ -1053,9 +1062,9 @@ _COMMANDS = {
              help="one of: " + ", ".join(sorted(IDENTITIES))),
         *(_arg("--" + k.replace("_", "-"), type=_count, dest=k) for k in _RANGES),
         _arg("--sample", type=_count, help="randomly sample this many outer cases"),
-        _arg("--seed", type=int, default=0),
-        _arg("--sigma", help="image of x for sigmaen/sigit/mov; fixes q and h"),
-        _arg("--h", dest="h_text", help="shift h for sigmaen/sigit/mov/artin_schreier"),
+        _arg("--seed", type=int),
+        _arg("--sigma", help=f"image of x for {_READERS['sigma']}; fixes q and h"),
+        _arg("--h", dest="h_text", help=f"shift h for {_READERS['h']}"),
     ), echo=("identity",), q="optional", error_code=3),
     "table": _Command("emit a CSV/JSON table", _table, (
         _arg("kind", choices=list(_TABLES)),

@@ -514,6 +514,8 @@ def certify_flatness(ctx: QContext) -> FlatnessCertificate:
         return FlatnessCertificate(flat=True, divisible=True)
 
     if ring.is_domain:
+        if ctx.q.is_zero():  # every (m)_0 = 1 is a unit
+            return FlatnessCertificate(True, True)
         qc = q_characteristic(ctx)
         if qc.is_unknown:
             raise UnsupportedError(f"quantum characteristic undecided over {ring}")

@@ -181,17 +181,8 @@ class RingElement:
                 n = int(n)
             else:
                 return RingElement(self.ring, self.ring._frac_pow(self.payload, n))
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        acc = self.ring.one
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        base = self.inverse() if n < 0 else self
+        return RingElement(self.ring, _ring_power(base.payload, abs(n), self.ring))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -228,15 +219,13 @@ class RingElement:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, RingElement):
-            same = other.ring is self.ring or other.ring == self.ring
-            return same and self.payload == other.payload
-        if isinstance(other, int):
-            return self.payload == self.ring._from_int(other)
-        return NotImplemented
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        same = other.ring is self.ring or other.ring == self.ring
+        return same and self.payload == other.payload
 
     def __hash__(self):
-        return hash((self.ring.descriptor(), self.payload))
+        return hash(self.payload)
 
     def __str__(self):
         return self.ring._text(self.payload)

@@ -181,6 +181,12 @@ def test_qflat_on_a_cyclotomic_quotient(capsys, spec):
     assert (code, out) == (0, "flat=true divisible=true")
 
 
+@pytest.mark.parametrize("spec", ["Z", "Z[t]", "Z[X]/(X^2+1)"])
+def test_qflat_at_q_zero_on_a_domain(capsys, spec):
+    # every (m)_0 = 1 is a unit
+    assert run_cli(capsys, ["qflat", "--ring", spec, "--q", "0"]) == (0, "flat=true divisible=true")
+
+
 def test_quotient_over_z_needs_a_monic_modulus(capsys):
     assert main(["qint", "--ring", "Z[X]/(2*X^2+1)", "3"]) == 1
     assert "unit leading coefficient" in capsys.readouterr().err
@@ -284,6 +290,18 @@ def test_verify_sigmaen_rejects_a_q_that_disagrees_with_sigma(capsys, ring, q):
     assert f"sigma gives q = 1, which disagrees with q = {q}" in captured.err
 
 
+@pytest.mark.parametrize("identity", ["sigit", "mov"])
+def test_verify_sigit_and_mov_check_q_against_sigma(capsys, identity):
+    argv = ["verify", identity, "--ring", "Z", "--sigma", "x-1"]
+    assert main(argv + ["--q", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: sigma gives q = 1, which disagrees with q = 2\n")
+    # a q that sigma cannot give, since it is not affine
+    assert main(["verify", identity, "--ring", "Z", "--sigma", "x^2", "--q", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: sigma is not affine on the generator\n")
+    code, out = run_cli(capsys, argv + ["--q", "1"])
+    assert code == 0 and " q=1 " in out and "failures=0" in out
+
+
 @pytest.mark.parametrize("identity, cases", [("sigmaen", 38), ("sigit", 160)])
 def test_verify_sigma_fixes_q_on_a_ring_with_a_generator(capsys, identity, cases):
     # without --q, the ring's generator t is not taken as q when --sigma gives q = 1
@@ -363,6 +381,22 @@ def test_verify_gate_is_flat_with_finite_characteristic(capsys, identity, ring, 
     assert captured.err == f"hypotheses unmet: {message}\n"
 
 
+def test_verify_artin_schreier_refuses_a_characteristic_above_the_cap(capsys, monkeypatch):
+    # its work grows about as p^2, and its p is the characteristic of the ring
+    def refuse(*args):
+        raise AssertionError("started work that grows with p")
+
+    monkeypatch.setattr(cli, "twisted_power", refuse)
+    for p in (257, 1000003):
+        assert main(["verify", "artin_schreier", "--ring", f"Z/{p}"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: characteristic p = {p} is above the cap VERIFY_MAX_P = {cli.VERIFY_MAX_P}\n"
+    monkeypatch.undo()
+    # 251 is the largest prime under the cap
+    code, out = run_cli(capsys, ["verify", "artin_schreier", "--ring", "Z/251"])
+    assert code == 0 and "cases=1 failures=0" in out
+
+
 @pytest.mark.parametrize("identity", ["divp", "qbin_vanish", "lucas", "frobenius", "sign_rule"])
 def test_verify_refuses_a_quantum_characteristic_above_the_cap(capsys, monkeypatch, identity):
     def refuse(*args):
@@ -399,43 +433,75 @@ def test_verify_at_the_cap_runs(capsys):
     assert code == 0 and "cases=263 failures=0" in out
 
 
+# a cheap configuration of each identity in which every case holds
+_CHEAP = {"n_max": 4, "k_max": 2, "m_max": 4, "nm_max": 4, "r_max": 1, "trials": 2}
+_GREEN = {
+    "pascal": ("Z[t]", None),
+    "explicit": ("Q(t)", None),
+    "addmul": ("Z[i]", "i"),
+    "divp": ("Cyclo(6)", None),
+    "even": ("Cyclo(4)", None),
+    "prim": ("Cyclo(5)", None),
+    "qbin_vanish": ("Cyclo(4)", None),
+    "symmetry": ("Z[t]", None),
+    "transitivity": ("Z[t]", None),
+    "chu_vandermonde": ("Z[t]", None),
+    "lucas": ("Cyclo(3)", None),
+    "binomial_formula": ("Z[t]", None),
+    "cyclo_int": ("Z[t]", None),
+    "cyclo_fact": ("Z[t]", None),
+    "cyclo_binom": ("Z[t]", None),
+    "rational_state": ("Q(t^(1/2))", None),
+    "sigmaen": ("Q(t)", None),
+    "sigit": ("Z/5", "2"),
+    "mov": ("Z/5", "2"),
+    "twisted_binomial": ("Z[q]", "q"),
+    "frobenius": ("Cyclo(2)", None),
+    "artin_schreier": ("Z/2", None),
+    "sign_rule": ("Cyclo(3)", None),
+}
+
+
+def _green(name):
+    """Ring, q and the cheap ranges the identity declares, for its green configuration."""
+    spec, q_text = _GREEN[name]
+    ring = parse_ring(spec)
+    q = parse_element(ring, q_text) if q_text else ring.generator
+    return ring, q, {k: v for k, v in _CHEAP.items() if k in cli.IDENTITIES[name][1]}
+
+
 def test_verify_every_identity_has_a_green_configuration():
     # minimal exercise of the whole catalog through the public runner
-    cheap = {"n_max": 4, "k_max": 2, "m_max": 4, "nm_max": 4, "r_max": 1, "trials": 2}
-    configs = {
-        "pascal": ("Z[t]", None),
-        "explicit": ("Q(t)", None),
-        "addmul": ("Z[i]", "i"),
-        "divp": ("Cyclo(6)", None),
-        "even": ("Cyclo(4)", None),
-        "prim": ("Cyclo(5)", None),
-        "qbin_vanish": ("Cyclo(4)", None),
-        "symmetry": ("Z[t]", None),
-        "transitivity": ("Z[t]", None),
-        "chu_vandermonde": ("Z[t]", None),
-        "lucas": ("Cyclo(3)", None),
-        "binomial_formula": ("Z[t]", None),
-        "cyclo_int": ("Z[t]", None),
-        "cyclo_fact": ("Z[t]", None),
-        "cyclo_binom": ("Z[t]", None),
-        "rational_state": ("Q(t^(1/2))", None),
-        "sigmaen": ("Q(t)", None),
-        "sigit": ("Z/5", "2"),
-        "mov": ("Z/5", "2"),
-        "twisted_binomial": ("Z[q]", "q"),
-        "frobenius": ("Cyclo(2)", None),
-        "artin_schreier": ("Z/2", None),
-        "sign_rule": ("Cyclo(3)", None),
-    }
     from qarith.cli import IDENTITIES
 
-    assert set(configs) == set(IDENTITIES)
-    for name, (spec, q_text) in configs.items():
-        ring = parse_ring(spec)
-        q = parse_element(ring, q_text) if q_text else ring.generator
-        report = run_identity(name, ring, q, ranges=cheap)
+    assert set(_GREEN) == set(IDENTITIES)
+    for name in _GREEN:
+        report = run_identity(name, *_green(name))
         assert report.failures == [], name
         assert report.cases > 0 or name in ("even", "prim"), name
+
+
+# a value for each verify option, all past argparse
+_OPTION_VALUES = {**{k: "1" for k in cli._RANGES}, "sample": "1", "seed": "1", "sigma": "x+1", "h": "1"}
+
+
+@pytest.mark.parametrize("name", sorted(cli.IDENTITIES))
+def test_verify_reads_exactly_the_options_each_identity_declares(capsys, name):
+    _, ranges, reads = cli.IDENTITIES[name]
+    spec, q_text = _GREEN[name]
+    argv = ["verify", name, "--ring", spec] + (["--q", q_text] if q_text else [])
+    for option, value in _OPTION_VALUES.items():
+        if option not in ranges and option not in reads:
+            flag = "--" + option.replace("_", "-")
+            assert main(argv + [flag, value]) == 3, flag
+            assert capsys.readouterr() == ("", f"error: identity {name} does not read {flag}\n")
+    # each declared range, and --sample, reaches the case loop
+    ring, q, cheap = _green(name)
+    cases = run_identity(name, ring, q, ranges=cheap).cases
+    for k in ranges:
+        assert run_identity(name, ring, q, ranges={**cheap, k: cheap[k] + 1}).cases != cases, k
+    if "sample" in reads:
+        assert run_identity(name, ring, q, ranges=cheap, sample=1).cases != cases
 
 
 def test_verify_sampling_is_deterministic():
@@ -551,6 +617,17 @@ def test_run_identity_rejects_negative_sample():
     ring = parse_ring("Z/5")
     with pytest.raises(DomainError):
         run_identity("pascal", ring, ring.from_int(2), sample=-1)
+
+
+def test_rational_states_take_q_as_the_carriers_t(capsys):
+    assert main(["qrat", "--ring", "Q(t^(1/2))", "--q", "t^2", "1/2"]) == 1
+    message = "rational states in Q(t^(1/2)) are taken at q = t, not q = t^2"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run_cli(capsys, ["qrat", "--ring", "Q(t^(1/2))", "--q", "t", "1/2"]) == (0, "1/(1 + t^(1/2))")
+    assert main(["verify", "rational_state", "--ring", "Q(t^(1/2))", "--q", "t^2"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    code, out = run_cli(capsys, ["verify", "rational_state", "--ring", "Q(t^(1/2))", "--q", "t", "--r-max", "1"])
+    assert code == 0 and out.startswith("identity=rational_state ring=Q(t^(1/2)) q=t ")
 
 
 @pytest.mark.parametrize("r", ["1/0", "abc"])

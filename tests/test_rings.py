@@ -207,6 +207,15 @@ def test_element_hash_consistency():
     assert len({z5.from_int(7), z5.from_int(2)}) == 1
 
 
+def test_elements_equal_only_elements():
+    three = ZZ.from_int(3)
+    assert three != 3 and 3 != three
+    assert len({three, 3}) == 2
+    assert len({three, ZZ.from_int(3)}) == 1
+    # equal elements of equal rings built apart hash alike
+    assert hash(PolynomialRing(ZZ, "t").generator) == hash(PolynomialRing(ZZ, "t").generator)
+
+
 def test_ring_equality_is_structural():
     assert PolynomialRing(ZZ, "t") == PolynomialRing(ZZ, "t")
     assert PolynomialRing(ZZ, "t") != PolynomialRing(ZZ, "x")
