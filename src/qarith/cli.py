@@ -657,7 +657,7 @@ def _carrier_system(ring, q):
     """The standard root system of the carrier Q(t^(1/L)), whose q is t: any other q is refused."""
     if q is not None and q != ring.generator:
         raise DomainError(f"rational states in {ring} are taken at q = {ring.generator}, not q = {q}")
-    return standard_root_system(cyc.divisors(ring.denominator))
+    return standard_root_system(cyc.divisors(ring.denominator), ring.var)
 
 
 def _iv_rational_state(env, rec):
@@ -821,33 +821,33 @@ def _iv_sign_rule(env, rec):
 
 
 # Each identity with every option its case loop reads: its ranges with their
-# defaults, then bound (gated on the quantum characteristic), sample and seed
-# (env.pick, env.rng), sigma and h (env.affine_algebra).  run_identity
+# defaults, then q, bound (gated on the quantum characteristic), sample and
+# seed (env.pick, env.rng), sigma and h (env.affine_algebra).  run_identity
 # refuses any other option.
 IDENTITIES = {
-    "pascal": (_iv_pascal, {"n_max": 12}, ("sample", "seed")),
-    "explicit": (_iv_explicit, {"m_max": 20}, ("sample", "seed")),
-    "addmul": (_iv_addmul, {"m_max": 12}, ("sample", "seed")),
-    "divp": (_iv_divp, {"m_max": 20}, ("sample", "seed", "bound")),
-    "even": (_iv_even, {}, ("bound",)),
-    "prim": (_iv_prim, {}, ("bound",)),
-    "qbin_vanish": (_iv_qbin_vanish, {}, ("bound",)),
-    "symmetry": (_iv_symmetry, {"n_max": 20}, ("sample", "seed")),
-    "transitivity": (_iv_transitivity, {"n_max": 12}, ("sample", "seed")),
-    "chu_vandermonde": (_iv_chu_vandermonde, {"nm_max": 16}, ("sample", "seed")),
-    "lucas": (_iv_lucas, {"n_max": 3, "k_max": 3}, ("bound",)),
-    "binomial_formula": (_iv_binomial_formula, {"n_max": 6}, ("sample", "seed")),
-    "cyclo_int": (_iv_cyclo_int, {"n_max": 60}, ("sample", "seed")),
-    "cyclo_fact": (_iv_cyclo_fact, {"n_max": 30}, ("sample", "seed")),
-    "cyclo_binom": (_iv_cyclo_binom, {"n_max": 24}, ("sample", "seed")),
-    "rational_state": (_iv_rational_state, {"r_max": 3}, ("sample", "seed")),
-    "sigmaen": (_iv_sigmaen, {"n_max": 12}, ("sample", "seed", "sigma", "h")),
-    "sigit": (_iv_sigit, {"trials": 5}, ("seed", "sigma", "h")),
-    "mov": (_iv_mov, {"nm_max": 12}, ("sigma", "h")),
-    "twisted_binomial": (_iv_twisted_binomial, {"n_max": 8}, ("sample", "seed")),
-    "frobenius": (_iv_frobenius, {}, ("bound",)),
+    "pascal": (_iv_pascal, {"n_max": 12}, ("q", "sample", "seed")),
+    "explicit": (_iv_explicit, {"m_max": 20}, ("q", "sample", "seed")),
+    "addmul": (_iv_addmul, {"m_max": 12}, ("q", "sample", "seed")),
+    "divp": (_iv_divp, {"m_max": 20}, ("q", "sample", "seed", "bound")),
+    "even": (_iv_even, {}, ("q", "bound")),
+    "prim": (_iv_prim, {}, ("q", "bound")),
+    "qbin_vanish": (_iv_qbin_vanish, {}, ("q", "bound")),
+    "symmetry": (_iv_symmetry, {"n_max": 20}, ("q", "sample", "seed")),
+    "transitivity": (_iv_transitivity, {"n_max": 12}, ("q", "sample", "seed")),
+    "chu_vandermonde": (_iv_chu_vandermonde, {"nm_max": 16}, ("q", "sample", "seed")),
+    "lucas": (_iv_lucas, {"n_max": 3, "k_max": 3}, ("q", "bound")),
+    "binomial_formula": (_iv_binomial_formula, {"n_max": 6}, ("q", "sample", "seed")),
+    "cyclo_int": (_iv_cyclo_int, {"n_max": 60}, ("q", "sample", "seed")),
+    "cyclo_fact": (_iv_cyclo_fact, {"n_max": 30}, ("q", "sample", "seed")),
+    "cyclo_binom": (_iv_cyclo_binom, {"n_max": 24}, ("q", "sample", "seed")),
+    "rational_state": (_iv_rational_state, {"r_max": 3}, ("q", "sample", "seed")),
+    "sigmaen": (_iv_sigmaen, {"n_max": 12}, ("q", "sample", "seed", "sigma", "h")),
+    "sigit": (_iv_sigit, {"trials": 5}, ("q", "seed", "sigma", "h")),
+    "mov": (_iv_mov, {"nm_max": 12}, ("q", "sigma", "h")),
+    "twisted_binomial": (_iv_twisted_binomial, {"n_max": 8}, ("q", "sample", "seed")),
+    "frobenius": (_iv_frobenius, {}, ("q", "bound")),
     "artin_schreier": (_iv_artin_schreier, {}, ("h",)),
-    "sign_rule": (_iv_sign_rule, {}, ("bound",)),
+    "sign_rule": (_iv_sign_rule, {}, ("q", "bound")),
 }
 
 
@@ -857,7 +857,7 @@ def run_identity(name, ring, q, ranges=None, sample=None, seed=None, sigma_text=
         raise DomainError(f"unknown identity {name!r}")
     fn, defaults, reads = IDENTITIES[name]
     given = {k: v for k, v in (ranges or {}).items() if v is not None}
-    for option, value in {**given, "sample": sample, "seed": seed, "sigma": sigma_text, "h": h_text}.items():
+    for option, value in {**given, "q": q, "sample": sample, "seed": seed, "sigma": sigma_text, "h": h_text}.items():
         if value is not None and option not in defaults and option not in reads:
             raise DomainError(f"identity {name} does not read --{option.replace('_', '-')}")
     if sample is not None and sample < 0:
@@ -907,11 +907,13 @@ def _resolve_ring_q(args, q_mode):
     """The ring of --ring, and q from --q or else the ring's generator.
 
     A missing q is an error for q_mode "default" and stays None for
-    "optional", which also takes no generator when --sigma fixes q;
-    q_mode None takes no q at all.
+    "optional" (verify), which also takes no generator when --sigma fixes q
+    or the identity reads no q; q_mode None takes no q at all.
     """
     ring = parse_ring(args.ring)
-    if q_mode is None or q_mode == "optional" and args.q is None and args.sigma is not None:
+    if q_mode is None or q_mode == "optional" and args.q is None and (
+        args.sigma is not None or "q" not in IDENTITIES[args.identity][2]
+    ):
         return ring, None
     q = parse_element(ring, args.q) if args.q is not None else ring.generator
     if q is None and q_mode == "default":

@@ -13,14 +13,14 @@ M^k for M = [[1, 1], [0, q]].  On Z/n with q not 0 or 1 it comes in closed
 form from one modular power, since (k)_q = (q^k - 1)/(q - 1) exactly; on
 every other ring M is squared and multiplied (``_matrix_power``).
 
-On the finite rings Z/n and Z/n[X]/(mu) the quantum characteristic and
-flatness of a unit q follow from d = ord(q), found without walking the
-orbit of q: on Z/n from the factored Carmichael function, on Z/n[X]/(mu)
-from the factored order of the unit group, which the degrees of the
-distinct irreducible factors of mu mod each p | n give
-(``QuotientRing.unit_order``).  A walk of q^m remains for orders that
-it reaches within the squarings of that order test on a quotient, and
-where n or |R^*| resists factoring.
+The quantum characteristic p = d * o, d = ord(q) and o the additive order
+of (d)_q, has one route per ring (``_order_and_char``): the finite rings
+Z/n and Z/n[X]/(mu) answer d with their own ``unit_order``, on Z/n from the
+factored Carmichael function, on Z/n[X]/(mu) after a short walk from the
+factored order of the unit group; every other ring, and a finite one whose
+n or |R^*| resists factoring, walks q^m.  Flatness tries the same states on
+every ring: with p > 0 only the proper divisors of p, since a residue field
+sees (m)_q = 0 exactly at the multiples of a divisor of p.
 
 Binomial coefficients take one of two routes, both division-free:
 
@@ -253,14 +253,6 @@ class QCharResult:
     rule: Optional[str] = field(default=None, compare=False)
 
     @classmethod
-    def finite(cls, p, rule=None):
-        return cls(p=p, certified=True, rule=rule)
-
-    @classmethod
-    def zero(cls, rule=None):
-        return cls(p=0, certified=True, rule=rule)
-
-    @classmethod
     def unknown(cls, bound):
         return cls(p=0, certified=False, bound=bound)
 
@@ -309,80 +301,71 @@ def _matrix_power(ring, qp, k):
     return s, pw
 
 
-def _order_and_char(ring, qp, bound, walk=False):
-    """(d, p) for the q with payload qp: d = ord(q) and p = d * o, where o
-    is the additive order of v = (d)_q.
+def _order_and_char(ring, qp, bound):
+    """(d, p, rule) for the q with payload qp: d = ord(q), p = d * o, where
+    o is the additive order of v = (d)_q, and ``rule`` names how p was
+    decided (see ``q_characteristic``).
 
     (m)_q = 0 forces q^m = 1, since (1 - q)(m)_q = 1 - q^m, and once q^d = 1,
     (kd)_q = k * (d)_q: the zeros of (m)_q are the multiples of p, and p = 0
-    when o is infinite (on a torsion-free ring).
+    when q is not a unit or o is infinite (on a torsion-free ring).
 
-    On a finite ring (Z/n or Z/n[X]/(mu)), unless ``walk`` is set, d is
-    ``ring.unit_order`` (UnsupportedError when n, or on a quotient |R^*|,
-    resists factoring), checked by q^d = 1, and o = n / gcd(n, v) for v
-    read as residues mod n.  On a quotient the order test takes at most one
-    power per prime factor of |R^*| (with multiplicity), each with up to
-    log2|R^*| squarings; a step of the walk takes one product (and an
-    addition), so q^m is first walked for that many steps, and a small
-    order is read off the walk.  On Z/n a power is one modular ``pow`` and
-    nothing is walked.
-
-    Elsewhere q^m is walked up to min(bound, ``root_of_unity_order_bound()``),
-    and o comes from the characteristic n: starting from o = n, each prime of
-    n is divided out while o * v stays 0.  d is None when no q^m = 1 was seen,
-    with p = 0 past the root-of-unity order bound; p is None when undecided
-    within ``bound``, or when n is 0 or resists factoring.  A p walked with
-    o > 1 is checked by M^p = 1; from the structure, q^d = 1 is checked, and
-    with o * (d)_q = 0 it gives M^p = (M^d)^o = [[1, o (d)_q], [0, 1]] = 1.
+    A finite ring (Z/n or Z/n[X]/(mu)) answers d itself (``unit_order``,
+    None for a non-unit q); (d)_q comes from ``_matrix_power``, checked by
+    q^d = 1, and o = n / gcd(n, v) for v read as residues mod n.  Where
+    ``unit_order`` raises UnsupportedError (n, or on a quotient |R^*|,
+    resists factoring), and on every other ring, q^m is walked up to
+    min(bound, ``root_of_unity_order_bound()``), and o comes from the
+    characteristic n: starting from o = n, each prime of n is divided out
+    while o * v stays 0.  d is None when no q^m = 1 was seen, with p = 0
+    past the root-of-unity order bound; p is None when undecided within
+    ``bound``, or when n is 0 or resists factoring.  A p walked with o > 1
+    is checked by M^p = 1; from ``unit_order``, q^d = 1 is checked, and with
+    o * (d)_q = 0 it gives M^p = (M^d)^o = [[1, o (d)_q], [0, 1]] = 1.
     """
     zero, one = ring._zero(), ring._one()
-    finite = ring.finite and not walk
-    if not finite:
-        order_bound = ring.root_of_unity_order_bound()
-        steps = bound if order_bound is None else min(bound, order_bound)
-    elif type(ring) is ModularRing:
-        steps = 0
-    else:  # the squarings the order test takes at most (see above)
-        count, factors = ring.unit_group()
-        steps = sum(factors.values()) * count.bit_length()
-    d = None
-    if steps:
-        s, pw = zero, one
-        for m in range(1, steps + 1):
-            s, pw = ring._add(s, pw), ring._mul(pw, qp)
-            if pw == one:
-                d, v = m, s
-                break
-    from_structure = d is None
-    if from_structure:
-        if not finite:
-            return None, (0 if order_bound is not None and order_bound <= bound else None)
-        d = ring.unit_order(qp)
-        v, qd = _matrix_power(ring, qp, d)
-        if qd != one:
-            raise InternalError(f"q^{d} != 1 for q = {qp} in {ring}")
     n = ring.characteristic
-    if finite:  # v is a residue mod n, or a vector of them
-        o = n // (math.gcd(n, *v) if type(v) is tuple else math.gcd(n, v))
-    elif v == zero:
+    if ring.finite:
+        try:
+            d = ring.unit_order(qp)
+        except UnsupportedError:  # the walk below stays sound
+            pass
+        else:
+            if d is None:
+                return None, 0, "non-unit q"
+            v, qd = _matrix_power(ring, qp, d)
+            if qd != one:
+                raise InternalError(f"q^{d} != 1 for q = {qp} in {ring}")
+            o = n // (math.gcd(n, *v) if type(v) is tuple else math.gcd(n, v))
+            return d, d * o, "matrix-order"
+    order_bound = ring.root_of_unity_order_bound()
+    steps = bound if order_bound is None else min(bound, order_bound)
+    s, pw = zero, one
+    for d in range(1, steps + 1):
+        s, pw = ring._add(s, pw), ring._mul(pw, qp)
+        if pw == one:
+            break
+    else:
+        return None, (0 if order_bound is not None and order_bound <= bound else None), "root-of-unity bound"
+    if s == zero:
         o = 1
     elif ring.torsion_free:
-        return d, 0
+        return d, 0, "q^d=1 & torsion-free"
     else:  # o divides n: divide each prime of n out of o while o * v stays 0
         if not n:
-            return d, None
+            return d, None, None
         try:
             primes = ntheory.factorize(n)
         except UnsupportedError:
-            return d, None
+            return d, None, None
         o = n
         for prime in primes:
-            while o % prime == 0 and ring._mul(ring._from_int(o // prime), v) == zero:
+            while o % prime == 0 and ring._mul(ring._from_int(o // prime), s) == zero:
                 o //= prime
     p = d * o
-    if not from_structure and o > 1 and _matrix_power(ring, qp, p) != (zero, one):
+    if o > 1 and _matrix_power(ring, qp, p) != (zero, one):
         raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")
-    return d, p
+    return d, p, "period-walk"
 
 
 def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
@@ -394,10 +377,10 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     * ``non-unit q`` (finite rings): (m)_q = 0 forces q^m = 1, so q would be
       a unit;
     * ``matrix-order`` (finite rings): p = ord([[1, 1], [0, q]]) from the
-      structure, whatever ``bound`` allows: on Z/n d comes from the factored
-      Carmichael function; on Z/n[X]/(mu) from the factored order of the
-      unit group, unless a walk as long as the order test's squarings
-      meets q^d = 1 first;
+      ring's ``unit_order``, whatever ``bound`` allows: on Z/n d comes from
+      the factored Carmichael function; on Z/n[X]/(mu) from the factored
+      order of the unit group, unless a walk as long as the order test's
+      squarings meets q^d = 1 first;
     * ``period-walk``: d found by walking q^m up to ``bound``, then
       p = d * o; on a finite ring when n or |R^*| resists factoring, on
       every other ring with finite p;
@@ -410,19 +393,10 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     Anything undecided within ``bound``, and a p above it however found,
     is reported as unknown.
     """
-    ring, qp = ctx.ring, ctx.q.payload
-    try:
-        if ring.finite and ring._invert(qp) is None:
-            return QCharResult.zero("non-unit q")
-        d, p = _order_and_char(ring, qp, bound)
-        rule = "matrix-order" if ring.finite else "period-walk"
-    except UnsupportedError:  # n resists factoring: walking is still sound
-        (d, p), rule = _order_and_char(ring, qp, bound, walk=True), "period-walk"
+    _, p, rule = _order_and_char(ctx.ring, ctx.q.payload, bound)
     if p is None or p > bound:
         return QCharResult.unknown(bound)
-    if p:
-        return QCharResult.finite(p, rule)
-    return QCharResult.zero("root-of-unity bound" if d is None else "q^d=1 & torsion-free")
+    return QCharResult(p, rule=rule)
 
 
 @dataclass(frozen=True)
@@ -448,90 +422,86 @@ class FlatnessCertificate:
         return out
 
 
-def _nonunit_state_candidates(ring, qp):
-    """Yield (m, (m)_q) for m >= 1, in increasing m, through every m that
-    can be the least one with (m)_q nonzero and not a unit.
+def _nonunit_state_candidates(ctx):
+    """Yield (m, (m)_q) as payloads for m >= 1, in increasing m, through
+    every m that can be the least one with (m)_q nonzero and not a unit.
 
-    A finite ring is a product of local rings, and v is a non-unit exactly
-    when some residue field k sees v = 0.  Unit q: the zeros of (m)_q are
-    the multiples of P = ord(M); k sees (m)_q = 0 exactly at the multiples
-    of ord(M) over k, a divisor of P, so the least nonunit nonzero state
-    sits at a proper divisor of P, and only those are tried.  P comes from
-    ``_order_and_char`` (on a quotient from the unit group's order, or a
-    short walk), and the states at its divisors cost O(tau(P) log P) ring
-    operations, however large the orbit.  When |R^*| resists factoring the
-    period is walked, up to |R|^2 steps; UnsupportedError when n does.
-    Non-unit q: (m)_q is never 0.  If q is nilpotent the states are constant
-    from the first m with q^m = 0 on; otherwise some k sees q as a unit and
-    so sees (m)_q = 0 for some m <= |k|.  Either way the walk ends within
-    |R| steps.
+    Unit q with quantum characteristic p > 0: a nonzero non-unit v lies in
+    a maximal ideal, whose residue field k sees v = 0, and k sees
+    (m)_q = 0 exactly at the multiples of its own quantum characteristic,
+    a divisor of p.  Below p no state is 0, so the least nonzero non-unit
+    state sits at a proper divisor of p, and only those are tried, at
+    O(tau(p) log p) ring operations however large the orbit.  On a finite
+    ring p comes from ``unit_order`` (a walk of up to |R|^2 steps when
+    |R^*| resists factoring); UnsupportedError when n does, before any
+    walk.  On a domain p is ``q_characteristic``'s, UnsupportedError when
+    undecided; with p = 0 the first ``DIVISIBILITY_SCAN`` states are
+    yielded, then UnsupportedError.
+
+    Non-unit q on a finite ring: (m)_q is never 0.  If q is nilpotent the
+    states are constant from the first m with q^m = 0 on; otherwise some k
+    sees q as a unit and so sees (m)_q = 0 for some m <= |k|.  Either way
+    the walk ends within |R| steps.
     """
-    if ring._invert(qp) is not None:
-        try:
-            _, p = _order_and_char(ring, qp, None)  # a finite ring takes no bound
-        except UnsupportedError:
-            if type(ring) is ModularRing:  # n resists: the walk could not find o
-                raise
-            _, p = _order_and_char(ring, qp, ring.cardinality**2, walk=True)
-        for m in ntheory.divisors(ntheory.factorize(p))[:-1]:
+    ring, qp = ctx.ring, ctx.q.payload
+    if ring.finite and ring._invert(qp) is None:
+        zero_p = ring._zero()
+        s, pw = ring._one(), qp
+        for m in range(1, ring.cardinality + 1):
+            yield m, s
+            if pw == zero_p:  # q^m = 0: every later state equals this one
+                return
+            s, pw = ring._add(s, pw), ring._mul(pw, qp)
+        raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
+    if type(ring) is ModularRing:
+        ring.factors()  # n resists: a walk of up to n^2 steps would not end
+    qc = q_characteristic(ctx, ring.cardinality**2) if ring.finite else q_characteristic(ctx)
+    if qc.is_unknown:
+        raise UnsupportedError(f"quantum characteristic undecided over {ring}")
+    if qc.p:
+        for m in ntheory.divisors(ntheory.factorize(qc.p))[:-1]:
             yield m, _matrix_power(ring, qp, m)[0]
         return
-    zero_p = ring._zero()
-    s, pw = ring._one(), qp
-    for m in range(1, ring.cardinality + 1):
-        yield m, s
-        if pw == zero_p:  # q^m = 0: every later state equals this one
-            return
-        s, pw = ring._add(s, pw), ring._mul(pw, qp)
-    raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
+    for m in range(1, DIVISIBILITY_SCAN + 1):
+        yield m, q_state(ctx, m).payload
+    raise UnsupportedError(
+        f"cannot certify divisibility over {ring}: no nonunit state "
+        f"found within scan limit {DIVISIBILITY_SCAN}"
+    )
 
 
 def certify_flatness(ctx: QContext) -> FlatnessCertificate:
     """Decide q-flatness and q-divisibility with explicit witnesses.
 
+    Both fail, or divisibility alone on a domain, at the least m with
+    (m)_q nonzero and not a unit, tried over ``_nonunit_state_candidates``.
     Finite rings: every nonzero non-unit is a zero divisor, so the ring is
-    q-flat exactly when it is q-divisible, and both fail at the least m
-    with (m)_q nonzero and not a unit, whose annihilator (``_annihilator``)
-    is the torsion witness.  Integral domains are flat; fields are
-    divisible.  When the quantum characteristic is p > 0 the value set is
-    exactly {(r)_q : 0 <= r < p}, so divisibility is decided completely
-    there too.
+    q-flat exactly when it is q-divisible, and the annihilator of that
+    state (``_annihilator``) is the torsion witness.  Integral domains are
+    flat; fields are divisible.  When the quantum characteristic is p > 0
+    the value set is exactly {(r)_q : 0 <= r < p}, so divisibility is
+    decided completely there too.
     """
     ring = ctx.ring
-    if ring.finite:
-        zero_p = ring._zero()
-        for m, v in _nonunit_state_candidates(ring, ctx.q.payload):
-            if v == zero_p:
-                continue
-            a = ring._annihilator(v)
-            if a is not None:
-                if a == zero_p or ring._mul(v, a) != zero_p:
-                    raise InternalError(f"{a} is not an annihilator of {v} in {ring}")
-                return FlatnessCertificate(False, False, (m, RingElement(ring, a)), m)
-        return FlatnessCertificate(True, True)
-
-    if ring.is_field:
-        return FlatnessCertificate(flat=True, divisible=True)
-
-    if ring.is_domain:
+    if not ring.finite:
+        if ring.is_field:
+            return FlatnessCertificate(flat=True, divisible=True)
+        if not ring.is_domain:
+            raise UnsupportedError(f"flatness certification needs a finite ring, domain or field, not {ring}")
         if ctx.q.is_zero():  # every (m)_0 = 1 is a unit
             return FlatnessCertificate(True, True)
-        qc = q_characteristic(ctx)
-        if qc.is_unknown:
-            raise UnsupportedError(f"quantum characteristic undecided over {ring}")
-        # the states below p are nonzero; with p = 0, scan the first few
-        for m in range(1, qc.p or DIVISIBILITY_SCAN + 1):
-            v = q_state(ctx, m)
-            if not v.is_zero() and v.try_invert() is None:
+    zero_p = ring._zero()
+    for m, v in _nonunit_state_candidates(ctx):
+        if v == zero_p:
+            continue
+        if not ring.finite:
+            if ring._invert(v) is None:
                 return FlatnessCertificate(True, False, None, m)
-        if qc.p:
-            return FlatnessCertificate(True, True)
-        raise UnsupportedError(
-            f"cannot certify divisibility over {ring}: no nonunit state "
-            f"found within scan limit {DIVISIBILITY_SCAN}"
-        )
-
-    raise UnsupportedError(f"flatness certification needs a finite ring, domain or field, not {ring}")
+        elif (a := ring._annihilator(v)) is not None:
+            if a == zero_p or ring._mul(v, a) != zero_p:
+                raise InternalError(f"{a} is not an annihilator of {v} in {ring}")
+            return FlatnessCertificate(False, False, (m, RingElement(ring, a)), m)
+    return FlatnessCertificate(True, True)
 
 
 def symmetric_state(ctx: QContext, n: int) -> RingElement:

@@ -153,11 +153,12 @@ def rational_power(sys: RootSystem, r) -> RingElement:
     return sys.root_context(n).q_power(m)
 
 
-def standard_root_system(denominators) -> RootSystem:
-    """The generic carrier: Q(t^(1/L)) with q = t and q_n = t^(1/n)."""
+def standard_root_system(denominators, var="t") -> RootSystem:
+    """The generic carrier: Q(t^(1/L)) with q = t and q_n = t^(1/n), for t
+    named ``var``."""
     dset = denominators if isinstance(denominators, DenominatorSet) else close_denominators(denominators)
     L = dset.generator
-    ring = RationalFunctionField("t", L)
+    ring = RationalFunctionField(var, L)
     t = ring.generator
     ctx = QContext(ring, t)
     roots = {n: t ** Fraction(1, n) for n in dset.closure}

@@ -481,7 +481,10 @@ class ModularRing(Ring):
         return _memo(self, "_factors", lambda: ntheory.factorize(self.n))
 
     def unit_order(self, a):
-        """Multiplicative order of the unit a, from the factored lambda(n)."""
+        """Multiplicative order of a, from the factored lambda(n); None when
+        a is not a unit."""
+        if math.gcd(a, self.n) != 1:
+            return None
 
         def carmichael():
             lam = ntheory.carmichael(self.factors())
@@ -1269,9 +1272,20 @@ class QuotientRing(Ring):
         return None
 
     def unit_order(self, a):
-        """Multiplicative order of the unit a, over a base Z/n, from the
-        factored order of the unit group (``unit_group``)."""
+        """Multiplicative order of a over a base Z/n, or None when a is not a
+        unit.  The order test on the factored order of the unit group
+        (``unit_group``) takes at most Omega(|R^*|) powers of up to
+        log2|R^*| squarings each; a step of a walk of a^m takes one product,
+        so a^m is first walked for that many steps, and a small order is
+        read off the walk."""
+        if self._annihilator(a) is not None:
+            return None
         count, factors = self.unit_group()
+        one = pw = self._one()
+        for m in range(1, sum(factors.values()) * count.bit_length() + 1):
+            pw = self._mul(pw, a)
+            if pw == one:
+                return m
         return ntheory.multiplicative_order(a, self, count, factors, _ring_power)
 
     def unit_group(self):

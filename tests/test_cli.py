@@ -482,7 +482,7 @@ def test_verify_every_identity_has_a_green_configuration():
 
 
 # a value for each verify option, all past argparse
-_OPTION_VALUES = {**{k: "1" for k in cli._RANGES}, "sample": "1", "seed": "1", "sigma": "x+1", "h": "1"}
+_OPTION_VALUES = {**{k: "1" for k in cli._RANGES}, "q": "1", "sample": "1", "seed": "1", "sigma": "x+1", "h": "1"}
 
 
 @pytest.mark.parametrize("name", sorted(cli.IDENTITIES))
@@ -628,6 +628,28 @@ def test_rational_states_take_q_as_the_carriers_t(capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
     code, out = run_cli(capsys, ["verify", "rational_state", "--ring", "Q(t^(1/2))", "--q", "t", "--r-max", "1"])
     assert code == 0 and out.startswith("identity=rational_state ring=Q(t^(1/2)) q=t ")
+
+
+def test_rational_states_keep_the_carriers_variable(capsys):
+    ring = parse_ring("Q(s^(1/2))")
+    assert cli._carrier_system(ring, ring.generator).ctx.ring == ring
+    code, out = run_cli(capsys, ["qrat", "--ring", "Q(s^(1/2))", "--json", "1/2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["q"], payload["result"]) == ("s", "1/(1 + s^(1/2))")
+    code, out = run_cli(capsys, ["verify", "rational_state", "--ring", "Q(s^(1/2))", "--r-max", "1"])
+    assert code == 0 and "failures=0" in out
+
+
+def test_verify_artin_schreier_reads_no_q(capsys):
+    # its case loop never reads q: a given --q is refused, and no default q is echoed
+    assert main(["verify", "artin_schreier", "--ring", "Z/5", "--q", "3"]) == 3
+    assert capsys.readouterr() == ("", "error: identity artin_schreier does not read --q\n")
+    code, out = run_cli(capsys, ["verify", "artin_schreier", "--ring", "Z/2[X]/(X^2-1)"])
+    assert code == 0 and out.startswith("identity=artin_schreier ring=Z/2[X]/(1 + X^2) cases=4 ")
+    code, out = run_cli(capsys, ["verify", "artin_schreier", "--ring", "Z/2[X]/(X^2-1)", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["q"] is None and payload["report"]["q"] is None
 
 
 @pytest.mark.parametrize("r", ["1/0", "abc"])

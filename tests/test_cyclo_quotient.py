@@ -24,7 +24,9 @@ from qarith import (
     parse_ring,
     q_binomial,
     q_characteristic,
+    q_state,
 )
+from qarith.qnum import DIVISIBILITY_SCAN
 from qarith.rings import ZI, dense_divmod, dense_mul
 
 
@@ -197,6 +199,52 @@ def test_plain_quotient_certifies_like_cyclo(p):
         assert certify_flatness(p_ctx) == certify_flatness(c_ctx), (p, q)
         assert q_characteristic(p_ctx) == q_characteristic(c_ctx), (p, q)
     assert not is_zero_divisor(quot.generator + 1)
+
+
+def _scan_flatness(ctx):
+    """(flat, divisible, nonunit_witness) on a domain by scanning every
+    m < p (the first DIVISIBILITY_SCAN states when p = 0): the oracle for
+    trying only the proper divisors of p."""
+    qc = q_characteristic(ctx)
+    for m in range(1, qc.p or DIVISIBILITY_SCAN + 1):
+        v = q_state(ctx, m)
+        if not v.is_zero() and v.try_invert() is None:
+            return True, False, m
+    assert qc.p
+    return True, True, None
+
+
+DOMAIN_CASES = [
+    *((f"Cyclo({m})", q) for m in range(2, 41) for q in ("t", "-t", "t^2")),
+    ("Z[i]", "i"),
+    ("Z[i]", "-i"),
+    ("Z[X]/(X^2+X+1)", "X"),
+    ("Z", "-1"),
+]
+
+
+@pytest.mark.parametrize("spec, q", DOMAIN_CASES)
+def test_domain_flatness_tries_the_divisors_of_p_like_the_full_scan(spec, q):
+    # the least nonzero non-unit state of a domain with p > 0 sits at a proper divisor of p
+    ring = parse_ring(spec)
+    cert = certify_flatness(QContext(ring, parse_element(ring, q)))
+    expected = _scan_flatness(QContext(ring, parse_element(ring, q)))
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected
+
+
+def test_domain_flatness_inverts_only_the_divisors_of_p(monkeypatch):
+    # p = 101 on Cyclo(101) with q = t: only (1)_t is tried, where a scan of m < p inverts 100 states
+    ring = CyclotomicRing(101)
+    calls = []
+
+    def invert(a):
+        calls.append(a)
+        return QuotientRing._invert(ring, a)
+
+    monkeypatch.setattr(ring, "_invert", invert)
+    cert = certify_flatness(QContext(ring, ring.generator))
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == (True, True, None)
+    assert len(calls) <= 2
 
 
 def test_units_modulo_a_reducible_monic():
