@@ -18,7 +18,7 @@ of (d)_q, has one route per ring (``_order_and_char``): the finite rings
 Z/n and Z/n[X]/(mu) answer d with their own ``unit_order``, on Z/n from the
 factored Carmichael function, on Z/n[X]/(mu) after a short walk from the
 factored order of the unit group; every other ring, and a finite one whose
-n or |R^*| resists factoring, walks q^m.  Flatness tries the same states on
+n, lambda(n) or |R^*| resists factoring, walks q^m.  Flatness tries the same states on
 every ring: with p > 0 only the proper divisors of p, since a residue field
 sees (m)_q = 0 exactly at the multiples of a divisor of p.
 
@@ -302,7 +302,7 @@ def _matrix_power(ring, qp, k):
 
 
 def _order_and_char(ring, qp, bound):
-    """(d, p, rule) for the q with payload qp: d = ord(q), p = d * o, where
+    """(p, rule) for the q with payload qp: p = d * o, where d = ord(q) and
     o is the additive order of v = (d)_q, and ``rule`` names how p was
     decided (see ``q_characteristic``).
 
@@ -313,13 +313,13 @@ def _order_and_char(ring, qp, bound):
     A finite ring (Z/n or Z/n[X]/(mu)) answers d itself (``unit_order``,
     None for a non-unit q); (d)_q comes from ``_matrix_power``, checked by
     q^d = 1, and o = n / gcd(n, v) for v read as residues mod n.  Where
-    ``unit_order`` raises UnsupportedError (n, or on a quotient |R^*|,
-    resists factoring), and on every other ring, q^m is walked up to
+    ``unit_order`` raises UnsupportedError (n, lambda(n) or, on a quotient,
+    |R^*| resists factoring), and on every other ring, q^m is walked up to
     min(bound, ``root_of_unity_order_bound()``), and o comes from the
     characteristic n: starting from o = n, each prime of n is divided out
-    while o * v stays 0.  d is None when no q^m = 1 was seen, with p = 0
-    past the root-of-unity order bound; p is None when undecided within
-    ``bound``, or when n is 0 or resists factoring.  A p walked with o > 1
+    while o * v stays 0.  When no q^m = 1 is seen, p = 0 past the
+    root-of-unity order bound; p is None when undecided within ``bound``,
+    or when n is 0 or resists factoring.  A p walked with o > 1
     is checked by M^p = 1; from ``unit_order``, q^d = 1 is checked, and with
     o * (d)_q = 0 it gives M^p = (M^d)^o = [[1, o (d)_q], [0, 1]] = 1.
     """
@@ -332,12 +332,12 @@ def _order_and_char(ring, qp, bound):
             pass
         else:
             if d is None:
-                return None, 0, "non-unit q"
+                return 0, "non-unit q"
             v, qd = _matrix_power(ring, qp, d)
             if qd != one:
                 raise InternalError(f"q^{d} != 1 for q = {qp} in {ring}")
             o = n // (math.gcd(n, *v) if type(v) is tuple else math.gcd(n, v))
-            return d, d * o, "matrix-order"
+            return d * o, "matrix-order"
     order_bound = ring.root_of_unity_order_bound()
     steps = bound if order_bound is None else min(bound, order_bound)
     s, pw = zero, one
@@ -346,18 +346,18 @@ def _order_and_char(ring, qp, bound):
         if pw == one:
             break
     else:
-        return None, (0 if order_bound is not None and order_bound <= bound else None), "root-of-unity bound"
+        return (0 if order_bound is not None and order_bound <= bound else None), "root-of-unity bound"
     if s == zero:
         o = 1
     elif ring.torsion_free:
-        return d, 0, "q^d=1 & torsion-free"
+        return 0, "q^d=1 & torsion-free"
     else:  # o divides n: divide each prime of n out of o while o * v stays 0
         if not n:
-            return d, None, None
+            return None, None
         try:
             primes = ntheory.factorize(n)
         except UnsupportedError:
-            return d, None, None
+            return None, None
         o = n
         for prime in primes:
             while o % prime == 0 and ring._mul(ring._from_int(o // prime), s) == zero:
@@ -365,7 +365,7 @@ def _order_and_char(ring, qp, bound):
     p = d * o
     if o > 1 and _matrix_power(ring, qp, p) != (zero, one):
         raise InternalError(f"M^{p} != 1 for q = {qp} in {ring}")
-    return d, p, "period-walk"
+    return p, "period-walk"
 
 
 def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
@@ -382,8 +382,8 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
       order of the unit group, unless a walk as long as the order test's
       squarings meets q^d = 1 first;
     * ``period-walk``: d found by walking q^m up to ``bound``, then
-      p = d * o; on a finite ring when n or |R^*| resists factoring, on
-      every other ring with finite p;
+      p = d * o; on a finite ring when n, lambda(n) or |R^*| resists
+      factoring, on every other ring with finite p;
     * ``q^d=1 & torsion-free``: (d)_q != 0 on a Z-torsion-free ring, so
       (kd)_q = k * (d)_q never vanishes;
     * ``root-of-unity bound``: q^m != 1 for every m up to the ring's
@@ -393,7 +393,7 @@ def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
     Anything undecided within ``bound``, and a p above it however found,
     is reported as unknown.
     """
-    _, p, rule = _order_and_char(ctx.ring, ctx.q.payload, bound)
+    p, rule = _order_and_char(ctx.ring, ctx.q.payload, bound)
     if p is None or p > bound:
         return QCharResult.unknown(bound)
     return QCharResult(p, rule=rule)
@@ -432,9 +432,9 @@ def _nonunit_state_candidates(ctx):
     a divisor of p.  Below p no state is 0, so the least nonzero non-unit
     state sits at a proper divisor of p, and only those are tried, at
     O(tau(p) log p) ring operations however large the orbit.  On a finite
-    ring p comes from ``unit_order`` (a walk of up to |R|^2 steps when
-    |R^*| resists factoring); UnsupportedError when n does, before any
-    walk.  On a domain p is ``q_characteristic``'s, UnsupportedError when
+    ring p comes from ``unit_order`` (on a quotient, a walk of up to |R|^2
+    steps when |R^*| resists factoring); on Z/n, UnsupportedError when n or
+    lambda(n) does, before any walk.  On a domain p is ``q_characteristic``'s, UnsupportedError when
     undecided; with p = 0 the first ``DIVISIBILITY_SCAN`` states are
     yielded, then UnsupportedError.
 
@@ -454,7 +454,7 @@ def _nonunit_state_candidates(ctx):
             s, pw = ring._add(s, pw), ring._mul(pw, qp)
         raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
     if type(ring) is ModularRing:
-        ring.factors()  # n resists: a walk of up to n^2 steps would not end
+        ring.unit_order(qp)  # n or lambda(n) resists: a walk of n^2 steps would not end
     qc = q_characteristic(ctx, ring.cardinality**2) if ring.finite else q_characteristic(ctx)
     if qc.is_unknown:
         raise UnsupportedError(f"quantum characteristic undecided over {ring}")

@@ -480,6 +480,30 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
         certify_flatness(QContext(ring, ring.generator))
 
 
+def test_carmichael_that_resists_factoring_raises_before_the_flatness_walk(monkeypatch):
+    # n = 11 factors but lambda(n) = 10 is made to resist: on a large such n
+    # a walk of up to n^2 steps would not end, so flatness refuses, while the
+    # characteristic, bounded by its caller, still walks the period.
+    n = 11
+    factorize = ntheory.factorize
+
+    def resist(m):
+        if m == n - 1:
+            raise UnsupportedError(f"{m} resists")
+        return factorize(m)
+
+    monkeypatch.setattr(ntheory, "factorize", resist)
+    zn = ModularRing(n)
+    assert zn.factors() == {n: 1}
+    with pytest.raises(UnsupportedError):
+        zn.unit_order(3)
+    # q = 3 has order 5 and (5)_q = 121 = 0, so a walk would answer at once
+    with pytest.raises(UnsupportedError):
+        certify_flatness(QContext(zn, zn.from_int(3)))
+    res = q_characteristic(QContext(zn, zn.from_int(3)), bound=1000)
+    assert (res.p, res.rule) == (5, "period-walk")
+
+
 # --- verify branches that depend on the ring ----------------------------------
 
 
