@@ -34,6 +34,7 @@ from . import cyclotomic as cyc
 from .errors import DomainError, NotInvertibleError, ParseError, QArithError, UnsupportedError
 from .ntheory import is_prime, totient
 from .qnum import (
+    WALK_BOUND,
     QContext,
     certify_flatness,
     q_binomial,
@@ -425,7 +426,7 @@ class _Env:
 
     def finite_char(self):
         ctx = self.require_q()
-        qc = q_characteristic(ctx, bound=self.ranges.get("bound", 10**6))
+        qc = q_characteristic(ctx, bound=self.ranges.get("bound", WALK_BOUND))
         if not qc.is_finite:
             raise HypothesesUnmet(f"quantum characteristic is {qc}, need finite")
         return qc.p
@@ -1048,7 +1049,7 @@ _COMMANDS = {
     "qrat": _Command("q-state of a rational (Puiseux carrier ring)", _qrat,
                      (_arg("r", help="rational number like 2/3 or -1/2"),), echo=("r",)),
     "qchar": _Command("quantum characteristic", _qchar,
-                      (_arg("--bound", type=_count, default=10**6),), echo=("bound",)),
+                      (_arg("--bound", type=_count, default=WALK_BOUND),), echo=("bound",)),
     "qflat": _Command("flatness/divisibility certificate", _qflat),
     "tpow": _Command("twisted power f^(n) for sigma(x) given by --sigma", _tpow, (
         _arg("--sigma", required=True, help="image of x, e.g. 'x-1' or '2*x'"),

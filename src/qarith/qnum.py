@@ -18,9 +18,10 @@ of (d)_q, has one route per ring (``_order_and_char``): the finite rings
 Z/n and Z/n[X]/(mu) answer d with their own ``unit_order``, on Z/n from the
 factored Carmichael function, on Z/n[X]/(mu) after a short walk from the
 factored order of the unit group; every other ring, and a finite one whose
-n, lambda(n) or |R^*| resists factoring, walks q^m.  Flatness tries the same states on
-every ring: with p > 0 only the proper divisors of p, since a residue field
-sees (m)_q = 0 exactly at the multiples of a divisor of p.
+n, lambda(n) or |R^*| resists factoring, walks q^m.  Flatness tries the
+same states on every ring: with p > 0 only the proper divisors of p, since
+a residue field sees (m)_q = 0 exactly at the multiples of a divisor of p.
+A non-unit q on a finite ring tries every divisor of its unit twin's p.
 
 Binomial coefficients take one of two routes, both division-free:
 
@@ -67,6 +68,9 @@ _UNSET = object()
 # the cyclotomic product applies.  Sweeps over all n and k reuse the cached
 # rows, and below this row they are cheaper than one product per entry.
 PASCAL_MAX_ROW = 24
+
+# Default bound on the walks of q^m in q_characteristic and certify_flatness.
+WALK_BOUND = 10**6
 
 # How many states certify_flatness tries for a non-unit (m)_q when the
 # quantum characteristic of a domain is zero.
@@ -368,7 +372,7 @@ def _order_and_char(ring, qp, bound):
     return p, "period-walk"
 
 
-def q_characteristic(ctx: QContext, bound: int = 10**6) -> QCharResult:
+def q_characteristic(ctx: QContext, bound: int = WALK_BOUND) -> QCharResult:
     """Smallest p > 0 with (p)_q = 0, or a certificate that none exists.
 
     One rule decides p on every ring: p = d * o for d = ord(q) and o the
@@ -431,35 +435,40 @@ def _nonunit_state_candidates(ctx):
     (m)_q = 0 exactly at the multiples of its own quantum characteristic,
     a divisor of p.  Below p no state is 0, so the least nonzero non-unit
     state sits at a proper divisor of p, and only those are tried, at
-    O(tau(p) log p) ring operations however large the orbit.  On a finite
-    ring p comes from ``unit_order`` (on a quotient, a walk of up to |R|^2
-    steps when |R^*| resists factoring); on Z/n, UnsupportedError when n or
-    lambda(n) does, before any walk.  On a domain p is ``q_characteristic``'s, UnsupportedError when
-    undecided; with p = 0 the first ``DIVISIBILITY_SCAN`` states are
-    yielded, then UnsupportedError.
+    O(tau(p) log p) ring operations however large the orbit.  p comes from
+    ``_order_and_char`` within ``WALK_BOUND`` (UnsupportedError when
+    undecided, on Z/n at once when n or lambda(n) resists factoring); on a
+    domain with p = 0 the first ``DIVISIBILITY_SCAN`` states are yielded,
+    then UnsupportedError.
 
-    Non-unit q on a finite ring: (m)_q is never 0.  If q is nilpotent the
-    states are constant from the first m with q^m = 0 on; otherwise some k
-    sees q as a unit and so sees (m)_q = 0 for some m <= |k|.  Either way
-    the walk ends within |R| steps.
+    Non-unit q on a finite ring: y = q^b, b the bit length of |R|, is 0 when
+    q is nilpotent, and then every (m)_q = 1 + nilpotent is a unit.  Else
+    e = y^E, E = lambda(n) on Z/n and |R^*| on a quotient (UnsupportedError
+    when E resists factoring), is the idempotent that is 1 where q is a
+    unit, and the unit twin t = q e + 1 - e has q's states on eR, while q's
+    are units on (1 - e)R.  So the least m divides the quantum
+    characteristic of t, and every divisor is tried, since (m)_q is never 0
+    for a non-unit q.
     """
     ring, qp = ctx.ring, ctx.q.payload
-    if ring.finite and ring._invert(qp) is None:
-        zero_p = ring._zero()
-        s, pw = ring._one(), qp
-        for m in range(1, ring.cardinality + 1):
-            yield m, s
-            if pw == zero_p:  # q^m = 0: every later state equals this one
-                return
-            s, pw = ring._add(s, pw), ring._mul(pw, qp)
-        raise InternalError(f"no nonunit state within |R| steps for the non-unit q = {qp} of {ring}")
+    t, last = qp, -1  # a unit q skips p itself, where (p)_q = 0
+    if ring.finite and ring._annihilator(qp) is not None:
+        b = ring.cardinality.bit_length()
+        y = _matrix_power(ring, qp, b)[1]
+        if y == ring._zero():  # q is nilpotent: every (m)_q is a unit
+            return
+        exponent = ntheory.carmichael(ring.factors()) if type(ring) is ModularRing else ring.unit_group()[0]
+        e = _matrix_power(ring, y, exponent)[1]
+        if ring._mul(e, e) != e:
+            raise InternalError(f"q^{b * exponent} = {e} is not idempotent in {ring}")
+        t, last = ring._add(ring._mul(qp, e), ring._add(ring._one(), ring._neg(e))), None
     if type(ring) is ModularRing:
-        ring.unit_order(qp)  # n or lambda(n) resists: a walk of n^2 steps would not end
-    qc = q_characteristic(ctx, ring.cardinality**2) if ring.finite else q_characteristic(ctx)
-    if qc.is_unknown:
+        ring.unit_order(t)  # n or lambda(n) resists: refuse before a walk
+    p, _ = _order_and_char(ring, t, WALK_BOUND)
+    if p is None:
         raise UnsupportedError(f"quantum characteristic undecided over {ring}")
-    if qc.p:
-        for m in ntheory.divisors(ntheory.factorize(qc.p))[:-1]:
+    if p:
+        for m in ntheory.divisors(ntheory.factorize(p))[:last]:
             yield m, _matrix_power(ring, qp, m)[0]
         return
     for m in range(1, DIVISIBILITY_SCAN + 1):

@@ -26,7 +26,9 @@ from qarith import (
     parse_ring,
     q_characteristic,
 )
+from qarith import qnum
 from qarith.cli import main
+from qarith.errors import InternalError
 from qarith.qnum import _matrix_power
 from qarith.rings import _factor_degrees
 from conftest import run_python
@@ -502,6 +504,79 @@ def test_carmichael_that_resists_factoring_raises_before_the_flatness_walk(monke
         certify_flatness(QContext(zn, zn.from_int(3)))
     res = q_characteristic(QContext(zn, zn.from_int(3)), bound=1000)
     assert (res.p, res.rule) == (5, "period-walk")
+
+
+# --- non-unit q through its unit twin q e + 1 - e ------------------------------
+
+
+def test_zn_flatness_matches_the_orbit_walk_for_every_q():
+    # unit, nilpotent and mixed q alike, against the plain walk of the orbit
+    for n in range(2, 151):
+        ring, model = ModularRing(n), Model(n, (0, 1))
+        for q in range(n):
+            cert = certify_flatness(QContext(ring, ring.from_int(q)))
+            expected = model.flatness((q,), lambda v: math.gcd(v[0], n) == 1)
+            assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected, (n, q)
+            if cert.witness is not None:
+                m, a = cert.witness
+                assert a.payload != 0 and model.state((q,), m)[0] * a.payload % n == 0, (n, q)
+
+
+def test_nonunit_flatness_tries_the_divisors_of_the_twin(monkeypatch, capsys):
+    # 2018 = 2 * 1009 and ord(2) = 504 mod 1009: the twin is 1 mod 2 and 2 mod
+    # 1009, with characteristic 504, so its 24 divisors are tried, not 504 states
+    calls = []
+    annihilator = ModularRing._annihilator
+    monkeypatch.setattr(ModularRing, "_annihilator", lambda self, a: calls.append(a) or annihilator(self, a))
+    ring = ModularRing(2018)
+    cert = certify_flatness(QContext(ring, ring.from_int(2)))
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == (False, False, 504)
+    assert len(calls) <= 30
+    assert main(["qflat", "--ring", "Z/2018", "--q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == "flat=false divisible=false torsion_witness=(m=504, a=2) nonunit_witness=m=504\n"
+
+
+def _resist_six(monkeypatch):
+    factorize = ntheory.factorize
+
+    def resist(m):  # the piece 7 - 1 of |R^*| over Z/7
+        if m == 6:
+            raise UnsupportedError(f"{m} resists")
+        return factorize(m)
+
+    monkeypatch.setattr(ntheory, "factorize", resist)
+
+
+def test_nonunit_twin_refuses_when_the_unit_group_resists(monkeypatch):
+    # X(X^4 + X + 3) over Z/7: X is neither a unit nor nilpotent, and its twin
+    # needs |R^*|, so flatness refuses where the old state walk answered
+    _resist_six(monkeypatch)
+    ring = quotient(7, (0, 3, 1, 0, 0, 1))
+    products = []
+    mul = QuotientRing._mul
+    monkeypatch.setattr(QuotientRing, "_mul", lambda self, a, b: products.append(1) or mul(self, a, b))
+    with pytest.raises(UnsupportedError):
+        certify_flatness(QContext(ring, ring.generator))
+    assert len(products) < 100  # X^15 by squaring, and no walk
+
+
+def test_unit_flatness_walks_at_most_walk_bound_steps(monkeypatch):
+    # ord(X) > 72 on Z/7[X]/(X^4 + X + 3): with |R^*| unfactored and the walk
+    # cut at 50 steps the characteristic stays undecided
+    _resist_six(monkeypatch)
+    monkeypatch.setattr(qnum, "WALK_BOUND", 50)
+    ring = quotient(7, (3, 1, 0, 0, 1))
+    with pytest.raises(UnsupportedError, match="quantum characteristic undecided"):
+        certify_flatness(QContext(ring, ring.generator))
+
+
+def test_nonunit_twin_checks_its_idempotent(monkeypatch):
+    # 2 on Z/28 = Z/4 x Z/7: 2^5 = 4, and 4 is not idempotent; lambda(28) = 6 makes 4^6 = 8
+    monkeypatch.setattr(ntheory, "carmichael", lambda factors: 1)
+    ring = ModularRing(28)
+    with pytest.raises(InternalError, match="not idempotent"):
+        certify_flatness(QContext(ring, ring.from_int(2)))
 
 
 # --- verify branches that depend on the ring ----------------------------------
