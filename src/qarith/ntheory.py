@@ -111,18 +111,6 @@ def totient(n: int) -> int:
     return n
 
 
-def carmichael(factors: dict) -> int:
-    """Carmichael's lambda(n), the exponent of (Z/n)^*, from n's factors."""
-    lam = 1
-    for p, e in factors.items():
-        if p == 2:
-            part = 1 << max(0, e - 1 if e < 3 else e - 2)
-        else:
-            part = (p - 1) * p ** (e - 1)
-        lam = lam * part // math.gcd(lam, part)
-    return lam
-
-
 def multiplicative_order(a, mod, exponent: int, primes, power=pow) -> int:
     """Order of the unit a modulo mod, given a multiple ``exponent`` of it
     and the primes dividing that exponent: each prime is divided out of the

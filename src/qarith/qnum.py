@@ -15,13 +15,14 @@ every other ring M is squared and multiplied (``_matrix_power``).
 
 The quantum characteristic p = d * o, d = ord(q) and o the additive order
 of (d)_q, has one route per ring (``_order_and_char``): the finite rings
-Z/n and Z/n[X]/(mu) answer d with their own ``unit_order``, on Z/n from the
-factored Carmichael function, on Z/n[X]/(mu) after a short walk from the
-factored order of the unit group; every other ring, and a finite one whose
-n, lambda(n) or |R^*| resists factoring, walks q^m.  Flatness tries the
-same states on every ring: with p > 0 only the proper divisors of p, since
-a residue field sees (m)_q = 0 exactly at the multiples of a divisor of p.
-A non-unit q on a finite ring tries every divisor of its unit twin's p.
+Z/n and Z/n[X]/(mu) answer d with their own ``unit_order`` from the
+factored order of the unit group, one rule for both since Z/n is
+Z/n[X]/(X) (a quotient first takes a short walk); every other ring, and a
+finite one whose n or |R^*| resists factoring, walks q^m.  Flatness tries
+the same states on every ring: with p > 0 only the proper divisors of p,
+since a residue field sees (m)_q = 0 exactly at the multiples of a divisor
+of p.  A non-unit q on a finite ring tries every divisor of its unit
+twin's p.
 
 Binomial coefficients take one of two routes, both division-free:
 
@@ -315,10 +316,11 @@ def _order_and_char(ring, qp, bound):
     when q is not a unit or o is infinite (on a torsion-free ring).
 
     A finite ring (Z/n or Z/n[X]/(mu)) answers d itself (``unit_order``,
-    None for a non-unit q); (d)_q comes from ``_matrix_power``, checked by
-    q^d = 1, and o = n / gcd(n, v) for v read as residues mod n.  Where
-    ``unit_order`` raises UnsupportedError (n, lambda(n) or, on a quotient,
-    |R^*| resists factoring), and on every other ring, q^m is walked up to
+    None for a non-unit q) from the factored order of its unit group, by
+    one rule since Z/n is Z/n[X]/(X); (d)_q comes from ``_matrix_power``,
+    checked by q^d = 1, and o = n / gcd(n, v) for v read as residues mod n.
+    Where ``unit_order`` raises UnsupportedError (n or |R^*| resists
+    factoring), and on every other ring, q^m is walked up to
     min(bound, ``root_of_unity_order_bound()``), and o comes from the
     characteristic n: starting from o = n, each prime of n is divided out
     while o * v stays 0.  When no q^m = 1 is seen, p = 0 past the
@@ -381,13 +383,13 @@ def q_characteristic(ctx: QContext, bound: int = WALK_BOUND) -> QCharResult:
     * ``non-unit q`` (finite rings): (m)_q = 0 forces q^m = 1, so q would be
       a unit;
     * ``matrix-order`` (finite rings): p = ord([[1, 1], [0, q]]) from the
-      ring's ``unit_order``, whatever ``bound`` allows: on Z/n d comes from
-      the factored Carmichael function; on Z/n[X]/(mu) from the factored
-      order of the unit group, unless a walk as long as the order test's
-      squarings meets q^d = 1 first;
+      ring's ``unit_order``, whatever ``bound`` allows: d comes from the
+      factored order of the unit group, phi(n) on Z/n, unless on
+      Z/n[X]/(mu) a walk as long as the order test's squarings meets
+      q^d = 1 first;
     * ``period-walk``: d found by walking q^m up to ``bound``, then
-      p = d * o; on a finite ring when n, lambda(n) or |R^*| resists
-      factoring, on every other ring with finite p;
+      p = d * o; on a finite ring when n or |R^*| resists factoring, on
+      every other ring with finite p;
     * ``q^d=1 & torsion-free``: (d)_q != 0 on a Z-torsion-free ring, so
       (kd)_q = k * (d)_q never vanishes;
     * ``root-of-unity bound``: q^m != 1 for every m up to the ring's
@@ -437,18 +439,17 @@ def _nonunit_state_candidates(ctx):
     state sits at a proper divisor of p, and only those are tried, at
     O(tau(p) log p) ring operations however large the orbit.  p comes from
     ``_order_and_char`` within ``WALK_BOUND`` (UnsupportedError when
-    undecided, on Z/n at once when n or lambda(n) resists factoring); on a
-    domain with p = 0 the first ``DIVISIBILITY_SCAN`` states are yielded,
-    then UnsupportedError.
+    undecided); on a domain with p = 0 the first ``DIVISIBILITY_SCAN``
+    states are yielded, then UnsupportedError.
 
     Non-unit q on a finite ring: y = q^b, b the bit length of |R|, is 0 when
     q is nilpotent, and then every (m)_q = 1 + nilpotent is a unit.  Else
-    e = y^E, E = lambda(n) on Z/n and |R^*| on a quotient (UnsupportedError
-    when E resists factoring), is the idempotent that is 1 where q is a
-    unit, and the unit twin t = q e + 1 - e has q's states on eR, while q's
-    are units on (1 - e)R.  So the least m divides the quantum
-    characteristic of t, and every divisor is tried, since (m)_q is never 0
-    for a non-unit q.
+    e = y^E, E = |R^*| on Z/n and on a quotient alike (``unit_group``;
+    UnsupportedError when it resists factoring), is the idempotent that is
+    1 where q is a unit, and the unit twin t = q e + 1 - e has q's states
+    on eR, while q's are units on (1 - e)R.  So the least m divides the
+    quantum characteristic of t, and every divisor is tried, since (m)_q is
+    never 0 for a non-unit q.
     """
     ring, qp = ctx.ring, ctx.q.payload
     t, last = qp, -1  # a unit q skips p itself, where (p)_q = 0
@@ -457,13 +458,11 @@ def _nonunit_state_candidates(ctx):
         y = _matrix_power(ring, qp, b)[1]
         if y == ring._zero():  # q is nilpotent: every (m)_q is a unit
             return
-        exponent = ntheory.carmichael(ring.factors()) if type(ring) is ModularRing else ring.unit_group()[0]
+        exponent = ring.unit_group()[0]
         e = _matrix_power(ring, y, exponent)[1]
         if ring._mul(e, e) != e:
             raise InternalError(f"q^{b * exponent} = {e} is not idempotent in {ring}")
         t, last = ring._add(ring._mul(qp, e), ring._add(ring._one(), ring._neg(e))), None
-    if type(ring) is ModularRing:
-        ring.unit_order(t)  # n or lambda(n) resists: refuse before a walk
     p, _ = _order_and_char(ring, t, WALK_BOUND)
     if p is None:
         raise UnsupportedError(f"quantum characteristic undecided over {ring}")

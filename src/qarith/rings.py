@@ -440,9 +440,10 @@ class RationalField(Ring):
 class ModularRing(Ring):
     """Z/nZ with residues in [0, n).
 
-    The factors of n and of Carmichael's lambda(n) are computed on first
-    use and kept; a modulus that resists ``ntheory.factorize`` raises
-    UnsupportedError from every method that needs them.
+    The factors of n and of phi(n) = |R^*|, by the rule of Z/n[x]/(x)
+    (``_unit_group``), are computed on first use and kept; an n or p - 1
+    that resists ``ntheory.factorize`` raises UnsupportedError from every
+    method that needs them.
     """
 
     finite = True
@@ -454,7 +455,7 @@ class ModularRing(Ring):
         self.cardinality = n
         self.characteristic = n
         self._factors = None
-        self._lambda = None
+        self._units = None  # (phi(n), its factorization), kept by unit_group
 
     def normalize(self, payload):
         return as_int(payload) % self.n
@@ -481,17 +482,17 @@ class ModularRing(Ring):
         return _memo(self, "_factors", lambda: ntheory.factorize(self.n))
 
     def unit_order(self, a):
-        """Multiplicative order of a, from the factored lambda(n); None when
-        a is not a unit."""
+        """Multiplicative order of a, from the factored order of the unit
+        group (``unit_group``); None when a is not a unit."""
         if math.gcd(a, self.n) != 1:
             return None
+        count, factors = self.unit_group()
+        return ntheory.multiplicative_order(a, self.n, count, factors)
 
-        def carmichael():
-            lam = ntheory.carmichael(self.factors())
-            return lam, tuple(ntheory.factorize(lam))
-
-        lam, primes = _memo(self, "_lambda", carmichael)
-        return ntheory.multiplicative_order(a, self.n, lam, primes)
+    def unit_group(self):
+        """(phi(n), its factorization), once per ring: ``_unit_group`` for
+        mu = x, of degree 1 with one factor of degree 1 mod each p | n."""
+        return _memo(self, "_units", lambda: _unit_group(self.factors(), 1, dict.fromkeys(self.factors(), [1])))
 
     def _zero(self):
         return 0
@@ -531,6 +532,29 @@ def _memo(ring, attr, compute):
     if isinstance(value, UnsupportedError):
         raise UnsupportedError(str(value))
     return value
+
+
+def _unit_group(factors, degree, factor_degrees):
+    """(|R^*|, its factorization {prime: exponent}) for R = Z/n[x]/(mu), from
+    n's factors {p: e}, deg mu, and {p: degrees of the distinct irreducible
+    factors of mu mod p}.
+
+    R is the product of the R_p = Z/p^e[x]/(mu), and a unit of R_p is an
+    element whose image in Z/p[x]/(f) is a unit for every such f.  So
+    |R_p^*| = |R_p| * prod_f (1 - p^(-deg f)), which factors piecewise as
+    p^(e deg mu - sum deg f) times the numbers p^(deg f) - 1 (UnsupportedError
+    when one resists ``ntheory.factorize``); mu = x gives phi(n).
+    """
+    count, out = 1, {}
+    for p, e in factors.items():
+        degrees = factor_degrees[p]
+        pieces = [(p, e * degree - sum(degrees))]
+        for k in set(degrees):
+            pieces += [(r, degrees.count(k) * x) for r, x in ntheory.factorize(p**k - 1).items()]
+        for prime, x in pieces:
+            count *= prime**x
+            out[prime] = out.get(prime, 0) + x
+    return count, {prime: x for prime, x in sorted(out.items()) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -1289,30 +1313,14 @@ class QuotientRing(Ring):
         return ntheory.multiplicative_order(a, self, count, factors, _ring_power)
 
     def unit_group(self):
-        """(|R^*|, its factorization {prime: exponent}) for R = Z/n[x]/(mu),
-        computed once per ring.
-
-        R is the product of the R_p = Z/p^e[x]/(mu) over p^e || n, and a
-        unit of R_p is an element whose image in Z/p[x]/(f) is a unit for
-        every distinct irreducible factor f of mu mod p.  So
-        |R_p^*| = |R_p| * prod_f (1 - p^(-deg f)), which factors piecewise
-        as p^(e deg mu - sum deg f) times the numbers p^(deg f) - 1.  The
-        degrees come from ``_factor_degrees``; UnsupportedError when n or a
-        p^(deg f) - 1 resists ``ntheory.factorize``.
-        """
+        """(|R^*|, its factorization) for R = Z/n[x]/(mu), once per ring:
+        ``_unit_group`` on the degrees from ``_factor_degrees``."""
 
         def compute():
-            d, count, factors = len(self.modulus) - 1, 1, {}
-            for p, fp, mu_p, _ in self._residue_fields():
-                degrees = _factor_degrees(fp, dense_scale(fp, mu_p, mu_p[-1]))
-                pieces = [(p, self.base.factors()[p] * d - sum(degrees))]
-                for k in set(degrees):
-                    c = degrees.count(k)
-                    pieces += [(r, c * e) for r, e in ntheory.factorize(p**k - 1).items()]
-                for prime, e in pieces:
-                    count *= prime**e
-                    factors[prime] = factors.get(prime, 0) + e
-            return count, {prime: e for prime, e in sorted(factors.items()) if e}
+            degrees = {
+                p: _factor_degrees(fp, dense_scale(fp, mu_p, mu_p[-1])) for p, fp, mu_p, _ in self._residue_fields()
+            }
+            return _unit_group(self.base.factors(), len(self.modulus) - 1, degrees)
 
         return _memo(self, "_units", compute)
 

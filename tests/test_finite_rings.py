@@ -464,10 +464,13 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
     zn = ModularRing(big)
     with pytest.raises(UnsupportedError):
         zn.factors()
-    # q = -1 has order 2 and (2)_q = 0, so a walk would answer at once
-    for q in (-1, 2):
-        with pytest.raises(UnsupportedError):
-            certify_flatness(QContext(zn, zn.from_int(q)))
+    # q = -1 has order 2 and (2)_q = 0, so the bounded walk answers at once:
+    # only m = 1 is tried, and (1)_q = 1 is a unit
+    cert = certify_flatness(QContext(zn, zn.from_int(-1)))
+    assert (cert.flat, cert.divisible, cert.witness, cert.nonunit_witness) == (True, True, None, None)
+    # ord(2) is far above qnum.WALK_BOUND: the walk stops there and refuses
+    with pytest.raises(UnsupportedError, match="undecided"):
+        certify_flatness(QContext(zn, zn.from_int(2)))
     # the characteristic falls back to the walk, which stays sound
     res = q_characteristic(QContext(zn, zn.from_int(2)), bound=1000)
     assert res.is_unknown and res.bound == 1000
@@ -482,10 +485,10 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
         certify_flatness(QContext(ring, ring.generator))
 
 
-def test_carmichael_that_resists_factoring_raises_before_the_flatness_walk(monkeypatch):
-    # n = 11 factors but lambda(n) = 10 is made to resist: on a large such n
-    # a walk of up to n^2 steps would not end, so flatness refuses, while the
-    # characteristic, bounded by its caller, still walks the period.
+def test_zn_unit_group_that_resists_factoring_falls_back_to_the_walk(monkeypatch):
+    # n = 11 factors but phi(n) = 10 is made to resist: the characteristic and
+    # flatness walk the period instead, as on a quotient, and answer as the
+    # plain walk of the orbit does.
     n = 11
     factorize = ntheory.factorize
 
@@ -499,9 +502,10 @@ def test_carmichael_that_resists_factoring_raises_before_the_flatness_walk(monke
     assert zn.factors() == {n: 1}
     with pytest.raises(UnsupportedError):
         zn.unit_order(3)
-    # q = 3 has order 5 and (5)_q = 121 = 0, so a walk would answer at once
-    with pytest.raises(UnsupportedError):
-        certify_flatness(QContext(zn, zn.from_int(3)))
+    # q = 3 has order 5 and (5)_q = 121 = 0, so the walk answers at once
+    cert = certify_flatness(QContext(zn, zn.from_int(3)))
+    expected = Model(n, (0, 1)).flatness((3,), lambda v: math.gcd(v[0], n) == 1)
+    assert (cert.flat, cert.divisible, cert.nonunit_witness) == expected == (True, True, None)
     res = q_characteristic(QContext(zn, zn.from_int(3)), bound=1000)
     assert (res.p, res.rule) == (5, "period-walk")
 
@@ -571,9 +575,20 @@ def test_unit_flatness_walks_at_most_walk_bound_steps(monkeypatch):
         certify_flatness(QContext(ring, ring.generator))
 
 
+@pytest.mark.parametrize("n,q", [(1000003, 3), (2000000014, 2)])
+def test_zn_flatness_finds_the_order_once(monkeypatch, n, q):
+    # one order test per certificate: ord(t) is read once, by the characteristic
+    calls = []
+    order = ntheory.multiplicative_order
+    monkeypatch.setattr(ntheory, "multiplicative_order", lambda *args: calls.append(args) or order(*args))
+    ring = ModularRing(n)
+    certify_flatness(QContext(ring, ring.from_int(q)))
+    assert len(calls) == 1
+
+
 def test_nonunit_twin_checks_its_idempotent(monkeypatch):
-    # 2 on Z/28 = Z/4 x Z/7: 2^5 = 4, and 4 is not idempotent; lambda(28) = 6 makes 4^6 = 8
-    monkeypatch.setattr(ntheory, "carmichael", lambda factors: 1)
+    # 2 on Z/28 = Z/4 x Z/7: 2^5 = 4, and 4 is not idempotent; phi(28) = 12 makes 4^12 = 8
+    monkeypatch.setattr(ModularRing, "unit_group", lambda self: (1, {}))
     ring = ModularRing(28)
     with pytest.raises(InternalError, match="not idempotent"):
         certify_flatness(QContext(ring, ring.from_int(2)))
@@ -615,7 +630,7 @@ def test_is_prime_against_sieve_and_pseudoprimes():
         ntheory.is_prime(2**89 - 1)
 
 
-def test_factorize_totient_carmichael_against_brute_force():
+def test_factorize_totient_divisors_against_brute_force():
     for n in range(1, 3000):
         factors = ntheory.factorize(n)
         assert math.prod(p**e for p, e in factors.items()) == n
@@ -623,13 +638,23 @@ def test_factorize_totient_carmichael_against_brute_force():
     for n in range(1, 300):
         units = [a for a in range(n) if math.gcd(a, n) == 1] if n > 1 else [0]
         assert ntheory.totient(n) == len(units)
-        exponent = 1
-        while any(pow(a, exponent, n) != 1 % n for a in units):
-            exponent += 1
-        assert ntheory.carmichael(ntheory.factorize(n)) == exponent
         assert ntheory.divisors(ntheory.factorize(n)) == [d for d in range(1, n + 1) if n % d == 0]
     big = (2**61 - 1) * (2**31 - 1) * 1000003**2
     assert ntheory.factorize(big) == {1000003: 2, 2**31 - 1: 1, 2**61 - 1: 1}
+
+
+def test_zn_unit_group_and_unit_orders_against_brute_force():
+    # Z/n is Z/n[X]/(X): |R^*| is the number of units, factored into primes,
+    # and ord(a) by dividing primes out of it is the order found by walking a^m
+    for n in range(2, 300):
+        ring = ModularRing(n)
+        units = [a for a in range(n) if math.gcd(a, n) == 1]
+        count, factors = ring.unit_group()
+        assert count == len(units), n
+        assert math.prod(p**e for p, e in factors.items()) == count, n
+        assert all(e > 0 and all(p % r for r in range(2, p)) for p, e in factors.items()), n
+        for a in units:
+            assert ring.unit_order(a) == plain_order(a, n), (n, a)
 
 
 # --- package import --------------------------------------------------------------
