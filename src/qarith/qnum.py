@@ -11,7 +11,7 @@ largest cached factorial below m on, as a balanced product tree.
 The certificates need the single pair ((k)_q, q^k), the top row of
 M^k for M = [[1, 1], [0, q]].  On Z/n with q not 0 or 1 it comes in closed
 form from one modular power, since (k)_q = (q^k - 1)/(q - 1) exactly; on
-every other ring M is squared and multiplied (``_matrix_power``).
+every other ring it is a power of pairs (``_matrix_power``).
 
 The quantum characteristic p = d * o, d = ord(q) and o the additive order
 of (d)_q, has one route per ring (``_order_and_char``): the finite rings
@@ -61,6 +61,7 @@ from .rings import (
     RationalFunctionField,
     Ring,
     RingElement,
+    _payload_power,
 )
 
 _UNSET = object()
@@ -288,22 +289,21 @@ def _matrix_power(ring, qp, k):
     On Z/n with q not 0 or 1 this is one modular power: q - 1 divides
     q^k - 1 = (q - 1)(k)_q, so r = q^k mod n(q - 1) gives
     (k)_q mod n = ((r - 1) mod n(q - 1)) / (q - 1) exactly.  Every other
-    ring, and q in {0, 1}, squares and multiplies M.
+    ring, and q in {0, 1}, powers the top row (1, q) of M by
+    ``rings._payload_power``, as M^a M^b has the top row (s_a + p_a s_b, p_a p_b).
     """
     if type(ring) is ModularRing and qp > 1:
         q1 = qp - 1
         nq1 = ring.n * q1
         r = pow(qp, k, nq1)
         return (r - 1) % nq1 // q1, r % ring.n
-    s, pw = ring._zero(), ring._one()
-    bs, bpw = ring._one(), qp  # M^(2^i)
-    while k:
-        if k & 1:
-            s, pw = ring._add(s, ring._mul(pw, bs)), ring._mul(pw, bpw)
-        k >>= 1
-        if k:
-            bs, bpw = ring._add(bs, ring._mul(bpw, bs)), ring._mul(bpw, bpw)
-    return s, pw
+    add, mul = ring._add, ring._mul
+
+    def pair_mul(x, y):
+        (s1, p1), (s2, p2) = x, y
+        return add(s1, mul(p1, s2)), mul(p1, p2)
+
+    return _payload_power(pair_mul, (ring._zero(), ring._one()), (ring._one(), qp), k)
 
 
 def _order_and_char(ring, qp, bound):

@@ -22,9 +22,9 @@ Dense polynomials over any base are tuples of base payloads, constant first,
 with no trailing zeros.  The ``dense_*`` functions are the one place that
 loops over them: ``dense_strip``, ``dense_add``, ``dense_neg``,
 ``dense_mul``, ``dense_divmod`` (remainder division by a unit leading
-coefficient), ``dense_euclid`` (extended Euclid over a field) and
-``dense_scale``.  ``PolynomialRing``, ``QuotientRing`` and the dense path of
-``twisted`` all use them.  Over an exact ``IntegerRing`` base ``dense_add``,
+coefficient), ``dense_euclid`` (extended Euclid over a field), ``dense_gcd``
+(its remainder sequence alone) and ``dense_scale``.  ``PolynomialRing``,
+``QuotientRing`` and the dense path of ``twisted`` all use them.  Over an exact ``IntegerRing`` base ``dense_add``,
 ``dense_mul`` and ``dense_divmod`` hand the tuples to the integer kernel
 ``zpoly``, and over a ``ModularRing`` base they compute on the same ints and
 reduce each coefficient mod n once; a quotient of Z[x] by chi_m
@@ -723,6 +723,14 @@ def dense_euclid(base, a, m):
     return r0, s0
 
 
+def dense_gcd(base, a, b):
+    """gcd(a, b) up to a unit over the field base: the g of
+    dense_euclid(base, b, a), with no cofactors."""
+    while b:
+        a, b = b, dense_divmod(base, a, b)[1]
+    return a
+
+
 def dense_scale(base, cs, c):
     """cs / c, for a unit c of base; over Z/n on ints."""
     if type(base) is ModularRing:
@@ -824,9 +832,6 @@ class PolynomialRing(Ring):
     def _from_int(self, n):
         c = self.base._from_int(n)
         return () if c == self.base._zero() else (c,)
-
-    def degree(self, a):
-        return len(a) - 1
 
     def _text(self, a):
         base = self.base
@@ -1142,12 +1147,6 @@ def _factor_degrees(fp, f):
     When deg f < 2i what is left is one irreducible factor.
     """
     p, x = fp.n, (0, 1)
-
-    def gcd(a, b):  # monic; no cofactors
-        while b:
-            a, b = b, zpoly.divrem(a, b, p)[1]
-        return dense_scale(fp, a, a[-1])
-
     degrees, h, i = [], x, 0  # h = X^(p^i) mod f
     while len(f) > 1:
         i += 1
@@ -1155,12 +1154,12 @@ def _factor_degrees(fp, f):
             degrees.append(len(f) - 1)
             break
         h = _payload_power(lambda a, b: zpoly.divrem(zpoly.mul(a, b), f, p)[1], (1,), h, p)
-        g = gcd(dense_add(fp, h, dense_neg(fp, x)), f)
+        g = dense_gcd(fp, dense_add(fp, h, dense_neg(fp, x)), f)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
             while len(g) > 1:
                 f = dense_divmod(fp, f, g)[0]
-                g = gcd(g, f)
+                g = dense_gcd(fp, g, f)
             h = dense_divmod(fp, h, f)[1]
     return degrees
 
@@ -1175,11 +1174,12 @@ class QuotientRing(Ring):
     Q directly, over Z/n modulo each prime p | n, where v is a unit exactly
     when gcd(v mod p, mu mod p) = 1 for every p.  Inverses modulo the primes
     are joined by CRT and lifted to Z/n by Newton steps; a zero divisor v
-    with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  Over
-    Z/n the order of the unit group, from distinct-degree factorization of
-    mu mod each p | n (``unit_group``), gives ``unit_order``.  Nothing
-    enumerates the ring, but n must factor (``ModularRing.factors``), and
-    for ``unit_order`` so must each p^k - 1.  Over
+    with g = gcd(v, mu) != 1 modulo p is killed by (n/p) * (mu/g).  A
+    nonzero constant c is decided as on Z/n, from gcd(c, n) alone, so only
+    a nonconstant v needs n factored (``ModularRing.factors``).  Over Z/n
+    the order of the unit group, from distinct-degree factorization of mu
+    mod each p | n (``unit_group``), gives ``unit_order``, which needs each
+    p^k - 1 factored too; nothing enumerates the ring.  Over
     Z (mu monic) a unit is an element whose inverse over Q has integer
     coefficients; annihilators over Z raise UnsupportedError.  A modulus
     chi_m over Z or Q, up to a unit and of degree at most
@@ -1266,6 +1266,9 @@ class QuotientRing(Ring):
             if over_z and any(type(c) is not int for c in inv):
                 return None
             return self.normalize(inv)
+        if len(a) == 1 and isinstance(self.base, ModularRing):  # a constant, as on Z/n
+            inv = self.base._invert(a[0])
+            return None if inv is None else (inv,)
         # Z/n: a unit modulo every prime p | n, then CRT to rad(n) and Newton
         # steps x <- x(2 - ax), each squaring the error 1 - ax, up to n
         parts = []
@@ -1287,9 +1290,13 @@ class QuotientRing(Ring):
 
     def _annihilator(self, a):
         # a is a zero divisor iff g = gcd(a, mu) != 1 modulo some prime p | n;
-        # then (mu/g) kills a modulo p, and n/p times it kills a modulo n
+        # then (mu/g) kills a modulo p, and n/p times it kills a modulo n.  A
+        # nonzero constant c has mu/g = 1 at the least prime of gcd(c, n)
+        if len(a) == 1 and isinstance(self.base, ModularRing):
+            g = math.gcd(a[0], self.base.n)
+            return None if g == 1 else (self.base.n // min(ntheory.factorize(g)),)
         for p, fp, mu_p, _ in self._residue_fields():
-            g, _ = dense_euclid(fp, _reduce_mod(a, p), mu_p)
+            g = dense_gcd(fp, mu_p, _reduce_mod(a, p))
             if len(g) > 1:
                 h, _ = dense_divmod(fp, mu_p, g)
                 return self.normalize(tuple(self.base.n // p * c for c in h))

@@ -10,13 +10,13 @@ and q-Pochhammer products (sigma(x) = q*x).
 A univariate algebra whose sigma is affine, sigma(x) = q*x + h (read off the
 generator's image when sigma is set, so ``univariate_affine``, a one-variable
 ``diagonal`` and a parsed image such as ``x-1`` all qualify), takes a dense
-path.  sigma(f) is a Taylor shift of f's coefficients by h followed by
-scaling coefficient i by q^i, O(d^2) base operations.  ``twisted_power``
-splits by f^(a+b) = f^(a) * sigma^a(f^(b)) with
-sigma^a(x) = q^a*x + (a)_q*h, so it makes O(log n) shifts and products
-(``rings.dense_mul``, which hands Z coefficients to ``zpoly.mul``)
-instead of n.  Multivariate and non-affine algebras substitute term by term
-and apply the inductive rule.
+path.  sigma(f) is a Taylor shift of f's coefficients by h (Newton division
+with every node h, ``_newton_divide``) followed by scaling coefficient i by
+q^i, O(d^2) base operations.  ``twisted_power`` splits by
+f^(a+b) = f^(a) * sigma^a(f^(b)) with sigma^a(x) = q^a*x + (a)_q*h, so it
+makes O(log n) shifts and products (``rings.dense_mul``, which hands Z
+coefficients to ``zpoly.mul``) instead of n.  Multivariate and non-affine
+algebras substitute term by term and apply the inductive rule.
 
 Over Z the split starts from a packed product (Kronecker substitution, von
 zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  With s = sigma^m also
@@ -203,18 +203,13 @@ class TwistedAlgebra(Ring):
 
     def _sigma_dense(self, cs, m):
         """sigma^m of a dense coefficient tuple, sigma affine: sigma^m(x) is
-        q^m*x + (m)_q*h, so this is a Taylor shift by (m)_q*h (Horner's
-        scheme, O(d^2) base operations), then coefficient i times q^(m*i)."""
+        q^m*x + (m)_q*h, so this is a Taylor shift by (m)_q*h
+        (``_newton_divide``), then coefficient i times q^(m*i)."""
         base = self.base
-        add, mul = base._add, base._mul
+        mul = base._mul
         q, h = self._affine
         state, scale = _matrix_power(base, q, m)
-        shift = mul(state, h)
-        a = list(cs)
-        if shift != base._zero():
-            for i in range(len(a) - 1):
-                for j in range(len(a) - 2, i - 1, -1):
-                    a[j] = add(a[j], mul(shift, a[j + 1]))
+        a = _newton_divide(base, list(cs), [mul(state, h)] * len(cs))
         if scale != base._one():
             pw = scale
             for i in range(1, len(a)):
@@ -492,6 +487,21 @@ class TwistedPowerBasis:
         return out
 
 
+def _newton_divide(base, a, nodes):
+    """The Newton coefficients of the dense list a on the nodes r_j, in place:
+    a divided by x - r_0, the quotient by x - r_1, and so on (synthetic
+    division, O(len(a)^2) base operations), each remainder left in a.  With
+    every node c this is the Taylor shift a(x + c)."""
+    add, mul = base._add, base._mul
+    z = base._zero()
+    n = len(a)
+    for j, r in zip(range(n - 1), nodes):
+        if r != z:
+            for k in range(n - 2, j - 1, -1):
+                a[k] = add(a[k], mul(r, a[k + 1]))
+    return a
+
+
 def _triangular_powers(base, q, n):
     """[q^(j(j-1)/2) for j < n] as base payloads, for a payload q."""
     mul = base._mul
@@ -505,25 +515,18 @@ def _triangular_powers(base, q, n):
 def expand_in_twisted_basis(basis: TwistedPowerBasis, f: RingElement) -> dict:
     """Unique coefficients {i: c_i} with f = sum c_i x^(i), by Newton division.
 
-    Dividing f by x - r_0, then the quotient by x - r_1, and so on (synthetic
-    division, O(deg^2) base operations) leaves the Newton coefficients d_j of
-    f on the nodes as remainders, and c_j = d_j * q^(-j(j-1)/2).
+    ``_newton_divide`` on the nodes of the basis leaves the Newton
+    coefficients d_j of f, and c_j = d_j * q^(-j(j-1)/2).
     """
     alg = basis.algebra
     if f.ring != alg:
         raise RingMismatchError("element does not belong to the basis algebra")
     base = alg.base
-    add, mul = base._add, base._mul
+    mul = base._mul
     z = base._zero()
     a = list(alg._to_dense(f.payload))
     n = len(a)
-    nodes = basis._nodes(n)
-    # after step j, a[j] is d_j and a[j+1:] the quotient
-    for j in range(n - 1):
-        r = nodes[j]
-        if r != z:
-            for k in range(n - 2, j - 1, -1):
-                a[k] = add(a[k], mul(r, a[k + 1]))
+    _newton_divide(base, a, basis._nodes(n))
     scales = _triangular_powers(base, basis._qinv.payload, n)
     coeffs = {}
     for j, (d, s) in enumerate(zip(a, scales)):

@@ -10,8 +10,9 @@ polynomial with a unit leading coefficient over Z, or over Z/n with the
 quotient reduced as it goes: it is ``rings.dense_divmod`` over both, and the
 remainder of every quotient ring of Z[t] or Z/n[t] by a modulus other than
 chi_m.  Z[t]/(chi_m) and ``qnum``'s cyclotomic q-binomials reduce with
-``reduce_cyclotomic``, and ``RationalFunctionField`` (Q(t) and Q(t^(1/L)))
-keeps numerators and denominators as these tuples.
+``reduce_cyclotomic``, which folds modulo t^m - 1 and then calls
+``divrem``, and ``RationalFunctionField`` (Q(t) and Q(t^(1/L))) keeps
+numerators and denominators as these tuples.
 ``gcd`` runs the primitive polynomial remainder sequence (Knuth, TAOCP
 vol. 2, 4.6.1): pseudo-remainders, each made primitive, so every step stays
 in Z[t].
@@ -290,7 +291,7 @@ def divrem(a, b, n=0):
         inv = lead
     else:
         raise ValueError(f"{lead} is not a unit of Z")
-    low = b[:d]
+    low = b[:d] if len(a) > d else ()  # a reduced a takes no step
     r = list(a)
     q = []
     while len(r) > d:
@@ -318,13 +319,8 @@ def gcd(a, b):
         return prim(b)[1]
     if not b:
         return prim(a)[1]
-    ma, mb = mono(a), mono(b)
-    if ma is not None:
-        d = min(ma[0], mb[0] if mb is not None else val(b))
-        return (0,) * d + (1,)
-    if mb is not None:
-        d = min(mb[0], val(a))
-        return (0,) * d + (1,)
+    if mono(a) is not None or mono(b) is not None:  # c * t^i: the gcd is t^min(val a, val b)
+        return (0,) * min(val(a), val(b)) + (1,)
     a, b = prim(a)[1], prim(b)[1]
     if len(a) < len(b):
         a, b = b, a
@@ -353,20 +349,12 @@ def reduce_cyclotomic(cs, n, chi):
     """Residue of cs modulo the monic chi = chi_n, of degree < deg chi.
 
     chi_n divides t^n - 1, so cs is first folded modulo t^n - 1 (exponents
-    taken mod n) and the residue, of degree < n, is then long-divided by
-    chi.  For prime n that division is a single step, so the whole
-    reduction is O(len cs) rather than O(len cs * deg chi).
+    taken mod n) and the residue, of degree < n, is then divided by chi
+    with ``divrem``.  For prime n that division is a single step, so the
+    whole reduction is O(len cs) rather than O(len cs * deg chi).
     """
     r = list(cs[:n])
     for k in range(n, len(cs), n):
         for j, c in enumerate(cs[k:k + n]):
             r[j] += c
-    d = len(chi) - 1
-    while len(r) > d:
-        c = r.pop()
-        if c:
-            for j, m in zip(range(len(r) - d, len(r)), chi):
-                r[j] -= c * m
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
+    return divrem(r, chi)[1]

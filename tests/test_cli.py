@@ -199,6 +199,24 @@ def test_tpow_and_expand(capsys):
     assert (code, out) == (0, "1: 1\n2: 1")
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # LaurentRing.root_of_unity_order_bound: the units of Z[t,1/t] are +-t^k
+        (["qchar", "--ring", "Z[t,1/t]", "--q=-1"], "2"),
+        (["qchar", "--ring", "Z[t,1/t]"], "0 (certified)"),
+        # TwistedAlgebra._invert on a constant: x/2 is (1/2)*x, x/3 over Z/7 is 5*x
+        (["tpow", "--ring", "Q", "--sigma", "x-1", "--f", "x/2", "3"], "1/4*x - 3/8*x^2 + 1/8*x^3"),
+        (["tpow", "--ring", "Z/7", "--sigma", "2*x", "--f", "x/3", "2"], "x^2"),
+        # RationalFunctionField._frac_pow with a negative exponent
+        (["qint", "--ring", "Q(t^(1/2))", "--q", "t^(-1/2)", "3"], "(1 + t^(1/2) + t)/t"),
+        (["qint", "--ring", "Q(t^(1/2))", "--q", "t^(-3/2)", "--", "-2"], "-t^(3/2) - t^3"),
+    ],
+)
+def test_laurent_order_bound_twisted_inverse_and_negative_fractional_power(capsys, argv, expected):
+    assert run_cli(capsys, argv) == (0, expected)
+
+
 def test_tpow_with_sigma_zero(capsys):
     # sigma(x) = 0 makes every factor past the first f(0), here 0
     assert run_cli(capsys, ["tpow", "--ring", "Z", "--sigma", "0", "2"]) == (0, "0")

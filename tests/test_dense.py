@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import Model
 from qarith import QQ, ZZ, IntegerRing, ModularRing, PolynomialRing, QuotientRing, UnsupportedError, zpoly
-from qarith.rings import dense_add, dense_divmod, dense_euclid, dense_mul, dense_neg, dense_strip
+from qarith.rings import dense_add, dense_divmod, dense_euclid, dense_gcd, dense_mul, dense_neg, dense_strip
 
 FIELDS = [ModularRing(p) for p in (2, 3, 7, 101)] + [QQ]
 
@@ -60,6 +60,8 @@ def test_euclid_gives_bezout_gcd(case):
         return
     g, s = dense_euclid(base, a, m)
     assert g
+    # the plain gcd runs the same divisions as the extended one and the loop oracle
+    assert dense_gcd(base, m, a) == g == _loop_euclid(base, a, m)[0]
     assert _divides(base, g, a) and _divides(base, g, m)
     # s*a = g (mod m); with g | a and g | m this makes g a greatest common divisor
     assert _divides(base, m, _sub(base, dense_mul(base, s, a), g))
@@ -172,6 +174,7 @@ def test_modular_base_matches_the_payload_loops(case):
     if b:
         assert _outcome(dense_divmod, base, a, b) == _outcome(_loop_divmod, base, a, b)
     assert _outcome(dense_euclid, base, a, b) == _outcome(_loop_euclid, base, a, b)
+    assert _outcome(dense_gcd, base, b, a) == _outcome(lambda *args: _loop_euclid(*args)[0], base, a, b)
 
 
 @settings(max_examples=300, deadline=None)

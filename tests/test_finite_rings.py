@@ -26,7 +26,7 @@ from qarith import (
     parse_ring,
     q_characteristic,
 )
-from qarith import qnum
+from qarith import qnum, rings
 from qarith.cli import main
 from qarith.errors import InternalError
 from qarith.qnum import _matrix_power
@@ -131,8 +131,9 @@ def test_structural_characteristic_respects_bound():
 
 
 def square_and_multiply(ring, qp, k):
-    """((k)_q, q^k) as payloads by powering M = [[1, 1], [0, q]]: the generic
-    loop of ``qnum._matrix_power``, pasted here as the oracle for Z/n."""
+    """((k)_q, q^k) as payloads by powering M = [[1, 1], [0, q]]: square and
+    multiply written out on the entries, the oracle for Z/n and for the power
+    of pairs that ``qnum._matrix_power`` takes on every other ring."""
     s, pw = ring._zero(), ring._one()
     bs, bpw = ring._one(), qp
     while k:
@@ -166,6 +167,12 @@ def test_matrix_power_closed_form_matches_square_and_multiply():
         for q in _closed_form_qs(n, rng):
             for k in ks:
                 assert _matrix_power(ring, q, k) == square_and_multiply(ring, q, k), (n, q, k)
+    # rings other than Z/n, each with q its generator
+    for spec in ("Z/5[X]/(X^2+2)", "Cyclo(12)", "Z[t,1/t]"):
+        ring = parse_ring(spec)
+        q = ring.generator.payload
+        for k in range(64):
+            assert _matrix_power(ring, q, k) == square_and_multiply(ring, q, k), (spec, k)
 
 
 def test_matrix_power_closed_form_at_r_zero():
@@ -483,6 +490,50 @@ def test_unfactorable_modulus_raises_instead_of_hanging():
         is_zero_divisor(ring.generator)
     with pytest.raises(UnsupportedError):
         certify_flatness(QContext(ring, ring.generator))
+
+
+def test_quotient_of_an_unfactorable_zn_decides_constants_as_zn_does():
+    # n = 1000000000039 * 1000000000061 resists factoring, but q = -1 is a
+    # constant: gcd(-1, n) = 1 makes it a unit, the bounded walk gives p = 2,
+    # and (1)_q = 1 is a unit, as on Z/n itself
+    ring = parse_ring("Z/1000000000100000000002379[X]/(X^2+1)")
+    cert = certify_flatness(QContext(ring, ring.from_int(-1)))
+    assert (cert.flat, cert.divisible, cert.witness, cert.nonunit_witness) == (True, True, None, None)
+
+
+@pytest.mark.parametrize("n", range(2, 24))
+def test_quotient_constants_match_enumeration(n):
+    # a constant c is decided from gcd(c, n): its inverse mod n, or the witness
+    # n/l for l the least prime of n that divides c
+    ring, model = quotient(n, (1, 0, 1)), Model(n, (1, 0, 1))
+    elems = list(model.elements())
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+    for c in range(n):
+        v = model.pad((c,))
+        products = [model.mul(v, w) for w in elems]
+        inverses = [w for w, vw in zip(elems, products) if vw == model.one]
+        killers = {w for w, vw in zip(elems, products) if vw == model.zero and w != model.zero}
+        payload = ring.normalize((c,))
+        inv, ann = ring._invert(payload), ring._annihilator(payload)
+        assert (inv is not None) == bool(inverses) == (ann is None), (n, c)
+        if inverses:
+            assert [model.pad(inv)] == inverses, (n, c)
+        else:
+            assert model.pad(ann) in killers, (n, c)
+            assert model.pad(ann) == model.pad((n // min(p for p in primes if c % p == 0),)), (n, c)
+
+
+def test_annihilator_takes_the_plain_gcd(monkeypatch):
+    calls = []
+    euclid = rings.dense_euclid
+    monkeypatch.setattr(rings, "dense_euclid", lambda *args: calls.append(args) or euclid(*args))
+    ring = quotient(8, (1, 1, 0, 1))
+    witnesses = [ring._annihilator(v) for v in ring.payloads()]
+    # X^3 + X + 1 is irreducible mod 2: the non-units are the 4^3 multiples of 2
+    assert calls == [] and witnesses.count(None) == 8**3 - 4**3
+    # the wrapper sees the extended Euclid of an inverse
+    ring._invert(ring.generator.payload)
+    assert calls
 
 
 def test_zn_unit_group_that_resists_factoring_falls_back_to_the_walk(monkeypatch):
